@@ -52,15 +52,28 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     """Exact Dedekind sum s(h, k), gcd(h, k) = 1, 0 <= h < k.
 
     Fast path: the reciprocity law folded into a Euclidean descent,
-    O(log k) fraction operations instead of the O(k) defining sum.
+    O(log k) integer operations instead of the O(k) defining sum.
     """
     _check_coprime_pair(h, k)
-    acc = Fraction(0)
-    sign = 1
-    while h > 0:
-        acc += sign * (Fraction(-1, 4) + Fraction(h * h + k * k + 1, 12 * h * k))
-        h, k, sign = k % h, h, -sign
-    return acc
+    return Fraction(_dedekind_12k(h, k), 12 * k)
+
+
+def _dedekind_12k(h: int, k: int) -> int:
+    """F(h, k) = 12k s(h, k), an integer, for coprime 0 <= h < k (unchecked).
+
+    Reciprocity s(h,k) + s(k,h) = -1/4 + (h^2 + k^2 + 1)/(12hk), times 12hk,
+    reads h F(h,k) + k F(k mod h, h) = h^2 + k^2 + 1 - 3hk, with F(0,1) = 0.
+    The Euclidean descent records the pairs and the climb back solves for F;
+    every division is exact.
+    """
+    chain = []
+    while h:
+        chain.append((h, k))
+        h, k = k % h, h
+    f = 0
+    for h, k in reversed(chain):
+        f = (h * h + k * k + 1 - 3 * h * k - k * f) // h
+    return f
 
 
 def dedekind_sum_direct(h: int, k: int) -> Fraction:
@@ -99,31 +112,39 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
 
         theta_h = alpha*pi*s(h,k) + (2 pi / k)(m*H - n*h),  h*H = -1 mod k.
 
-    The phase over pi is reduced mod 2 exactly in rational arithmetic for
-    rational alpha; for real alpha the irrational part is reduced at working
-    precision and the rational part exactly. Summation in h ascending order.
+    With S_h = 6k s(h,k), an integer from the reciprocity descent, the phase
+    over pi for rational alpha = a/b is the integer residue
+    r = a S_h + 12b(m H - n h) mod 12kb divided by 6kb, rounded once. For
+    real alpha the irrational part alpha S_h/(6k) is reduced mod 2 at working
+    precision and the rational part 2(m H - n h)/k mod 2 is rounded once.
+    cos and sin come from one cospi_sinpi call; real and imaginary parts are
+    summed separately in h ascending order, which is what mpc addition does.
     """
     alpha = as_alpha(alpha)
     if k < 1:
         raise DomainError("k must be a positive integer")
     with prec.ctx():
-        if alpha.kind == "real":
+        if alpha.kind == "rational":
+            a, b = alpha.rational.numerator, alpha.rational.denominator
+            period, scale = 12 * k * b, 6 * k * b
+        else:
             av = alpha.value_at(prec)
-        total = mp.mpc(0)
+        re = im = mp.mpf(0)
         for h in range(k):
             if gcd(h, k) != 1:
                 continue
-            s_hk = dedekind_sum(h, k)
-            big_h = inverse_neg(h, k)
-            frac_part = Fraction(2 * (m * big_h - n * h), k) % 2
+            s_h = _dedekind_12k(h, k) // 2
+            big_h = (-pow(h, -1, k)) % k
             if alpha.kind == "rational":
-                phase = (alpha.rational * s_hk + frac_part) % 2
-                c, s = mp.cospi(to_mpf(phase)), mp.sinpi(to_mpf(phase))
+                r = (a * s_h + 12 * b * (m * big_h - n * h)) % period
+                t = mp.mpf(r) / scale
             else:
-                t = mp.fmod(av * to_mpf(s_hk), 2) + to_mpf(frac_part)
-                c, s = mp.cospi(t), mp.sinpi(t)
-            total += mp.mpc(c, s)
-        return total
+                t = (mp.fmod(av * (mp.mpf(s_h) / (6 * k)), 2)
+                     + mp.mpf((2 * (m * big_h - n * h)) % (2 * k)) / k)
+            c, s = mp.cospi_sinpi(t)
+            re += c
+            im += s
+        return mp.mpc(re, im)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
+from math import floor
 
 import mpmath as mp
 
@@ -126,8 +127,11 @@ def fmt_like(printed: str, value) -> str:
     if "." not in printed:
         return str(int(value))
     dp = len(printed.split(".")[1])
-    dec = Decimal(mp.nstr(mp.mpf(value), dp + 15))
-    return str(dec.quantize(Decimal(1).scaleb(-dp), rounding=ROUND_HALF_UP))
+    # round the exact value once; rendering to a few more digits first would
+    # round twice and can land on the wrong side of a tie
+    scaled = _as_fraction(value) * 10 ** dp
+    digits = floor(abs(scaled) + Fraction(1, 2))
+    return str(Decimal((int(scaled < 0), tuple(map(int, str(digits))), -dp)))
 
 
 def _cell(table_id, row_key, column, printed, value) -> tuple:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int, round_nearest
 
 
 class DomainError(ValueError):
@@ -372,11 +373,18 @@ def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
         total = term
         ratio_num = half * half
         cutoff = mp.mpf(10) ** (-(prec.decimal_digits + prec.guard_digits))
+        # The loop runs on raw _mpf_ tuples to skip mpf object overhead; it
+        # makes the libmp calls mpf's operators would, in the same order, at
+        # the same precision and rounding, so the result is bit-identical.
+        wp, rnd = mp.mp.prec, round_nearest
+        term, total, ratio_num = term._mpf_, total._mpf_, ratio_num._mpf_
+        nu_t, cutoff = nuv._mpf_, cutoff._mpf_
         k = 0
         while True:
             k += 1
-            term = term * ratio_num / (k * (nuv + k))
-            total += term
-            if term < cutoff * total:
+            den = mpf_mul_int(mpf_add(nu_t, from_int(k), wp, rnd), k, wp, rnd)
+            term = mpf_div(mpf_mul(term, ratio_num, wp, rnd), den, wp, rnd)
+            total = mpf_add(total, term, wp, rnd)
+            if mpf_lt(term, mpf_mul(cutoff, total, wp, rnd)):
                 break
-        return +total
+        return mp.mp.make_mpf(total)

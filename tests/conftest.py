@@ -6,9 +6,15 @@ divisor-sum recurrence is checked against genuinely independent code.
 Fractional ones (alpha = sqrt(3)) come from a fixed-point integer version of
 the divisor-sum recurrence, also test-only, so that the circle-method series
 is checked against code that shares nothing with it.
+
+reference_kloosterman and reference_bessel_i are the straightforward mpf
+versions of the library's two inner kernels (Fraction phases, separate
+cospi/sinpi calls, an mpc sum; an mpf series loop). The library's kernels
+must reproduce them bit for bit.
 """
 
-from math import isqrt
+from fractions import Fraction
+from math import gcd, isqrt
 from operator import mul
 
 import pytest
@@ -91,6 +97,57 @@ def t5_identity_residual(row, alpha, prec):
         allowed = sum(mp.mpf(10) ** -len(c.split(".")[1]) / 2 * dl ** (d - i)
                       for i, c in enumerate(printed))
     return resid, allowed
+
+
+def reference_kloosterman(alpha, n, m, k, prec):
+    """A_k(n, m) with the phase reduced mod 2 in Fraction arithmetic."""
+    import mpmath as mp
+
+    from fracpart import circle
+    from fracpart.numkernel import as_alpha, to_mpf
+
+    alpha = as_alpha(alpha)
+    with prec.ctx():
+        if alpha.kind == "real":
+            av = alpha.value_at(prec)
+        total = mp.mpc(0)
+        for h in range(k):
+            if gcd(h, k) != 1:
+                continue
+            s_hk = circle.dedekind_sum(h, k)
+            big_h = circle.inverse_neg(h, k)
+            frac_part = Fraction(2 * (m * big_h - n * h), k) % 2
+            if alpha.kind == "rational":
+                phase = (alpha.rational * s_hk + frac_part) % 2
+                c, s = mp.cospi(to_mpf(phase)), mp.sinpi(to_mpf(phase))
+            else:
+                t = mp.fmod(av * to_mpf(s_hk), 2) + to_mpf(frac_part)
+                c, s = mp.cospi(t), mp.sinpi(t)
+            total += mp.mpc(c, s)
+        return total
+
+
+def reference_bessel_i(nu, z, prec):
+    """I_nu(z), nu > 0, z > 0, by the ascending series in mpf arithmetic."""
+    import mpmath as mp
+
+    from fracpart.numkernel import to_mpf
+
+    with prec.ctx(5):
+        nuv = to_mpf(nu)
+        half = to_mpf(z) / 2
+        term = half ** nuv / mp.gamma(nuv + 1)
+        total = term
+        ratio_num = half * half
+        cutoff = mp.mpf(10) ** (-(prec.decimal_digits + prec.guard_digits))
+        k = 0
+        while True:
+            k += 1
+            term = term * ratio_num / (k * (nuv + k))
+            total += term
+            if term < cutoff * total:
+                break
+        return +total
 
 
 @pytest.fixture(scope="session")

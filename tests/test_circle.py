@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_kloosterman
 from fracpart import circle, oracle
 from fracpart.numkernel import DomainError, Precision, parse_alpha, to_mpf
 
 
 def coprime_pairs():
-    return st.integers(min_value=1, max_value=120).flatmap(
+    return st.integers(min_value=1, max_value=700).flatmap(
         lambda k: st.sampled_from([h for h in range(k) if gcd(h, k) == 1]).map(lambda h: (h, k))
     )
 
@@ -144,6 +145,31 @@ def test_kloosterman_periodic_in_n(n, k):
     v1 = circle.kloosterman(a, n, 0, k)
     v2 = circle.kloosterman(a, n + k, 0, k)
     assert abs(v1 - v2) < mp.mpf(10) ** -60
+
+
+_REAL_ALPHAS = ["e", "sqrt(3)", "pi", "1/e", "1/pi", "8*pi", "sqrt(2)/3"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    alpha_text=st.one_of(
+        st.builds(lambda a, b: "%d/%d" % (a, b),
+                  st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=12)),
+        st.sampled_from(_REAL_ALPHAS),
+    ),
+    n=st.integers(min_value=0, max_value=300_000),
+    m=st.integers(min_value=0, max_value=1),
+    k=st.integers(min_value=1, max_value=700),
+    digits=st.integers(min_value=30, max_value=200),
+)
+def test_kloosterman_bit_identical_to_reference(alpha_text, n, m, k, digits):
+    # the integer-residue kernel must round exactly like Fraction phases
+    # with separate cospi/sinpi calls and an mpc sum
+    alpha, prec = parse_alpha(alpha_text), Precision(digits, 10)
+    got = circle.kloosterman(alpha, n, m, k, prec)
+    want = reference_kloosterman(alpha, n, m, k, prec)
+    assert got.real._mpf_ == want.real._mpf_
+    assert got.imag._mpf_ == want.imag._mpf_
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,18 @@ def test_fmt_like_rounds_to_printed_places():
     assert goldens.fmt_like("1709.07", mp.mpf("1709.075395")) == "1709.08"
 
 
+def test_fmt_like_rounds_the_exact_value_once():
+    # just below a tie: an intermediate rendering to dp + 15 digits would
+    # show 0.15 and then round up
+    with mp.workdps(50):
+        assert goldens.fmt_like("0.1", mp.mpf("0.15") - mp.mpf(10) ** -30) == "0.1"
+        assert goldens.fmt_like("0.1", -(mp.mpf("0.15") - mp.mpf(10) ** -30)) == "-0.1"
+    # an exact tie rounds half away from zero
+    assert goldens.fmt_like("0.1", mp.mpf("0.25")) == "0.3"
+    assert goldens.fmt_like("0.1", mp.mpf("-0.25")) == "-0.3"
+    assert goldens.fmt_like("0.001", mp.mpf("0.00025")) == "0.000"
+
+
 def test_table_two_recomputation_is_clean():
     art = goldens.compute_table("T2")
     assert not art.mismatches

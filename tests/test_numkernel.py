@@ -1,12 +1,14 @@
 """Precision policy, the alpha expression parser, gamma, and Bessel I."""
 
 from fractions import Fraction
+from math import log10
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_bessel_i
 from fracpart.numkernel import (
     DEFAULT_PRECISION,
     AlphaValue,
@@ -229,6 +231,20 @@ def test_bessel_precision_stability():
     hi = bessel_i(mp.mpf(7) / 2, mp.mpf("13.7"), Precision(80, 10))
     with mp.workdps(90):
         assert abs(lo - hi) / hi < mp.mpf(10) ** -38
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    nu=st.floats(min_value=1.1, max_value=20),
+    log_z=st.floats(min_value=-3, max_value=log10(800)),
+    digits=st.integers(min_value=30, max_value=120),
+)
+def test_bessel_bit_identical_to_reference(nu, log_z, digits):
+    # the raw-tuple series loop must round exactly like the mpf loop
+    prec = Precision(digits, 10)
+    with prec.ctx():
+        nuv, z = mp.mpf(nu), mp.mpf(10) ** mp.mpf(log_z)
+    assert bessel_i(nuv, z, prec)._mpf_ == reference_bessel_i(nuv, z, prec)._mpf_
 
 
 # ---------------------------------------------------------------------------
