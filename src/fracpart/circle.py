@@ -25,6 +25,7 @@ give bit-identical results.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -148,12 +149,18 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
 
 
 # ---------------------------------------------------------------------------
-# series geometry: nu, mu(m), q, oracle prefix
+# series geometry: alpha, order, nu, the mu ladder, weights, tail constant
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CirclePoint:
-    """Fixed data of the series at (alpha, n): nu, q, the mu ladder, p_alpha(0..q)."""
+    """Fixed data of the series at (alpha, n) and one working precision.
+
+    av is alpha at working precision, order = av/2 + 1, mus the ladder
+    mu(0..q), pm the oracle prefix p_alpha(0..q), weights the products
+    mu(m)^order p_alpha(m) and c the tail constant C. A truncation delta only
+    moves the k-cutoffs, so every series routine reads these fields.
+    """
 
     alpha: AlphaValue
     n: int
@@ -161,6 +168,10 @@ class CirclePoint:
     q: int
     mus: tuple
     pm: tuple
+    av: mp.mpf
+    order: mp.mpf
+    weights: tuple
+    c: mp.mpf
 
 
 def _alpha_floor24(alpha: AlphaValue, prec: Precision) -> int:
@@ -181,17 +192,27 @@ def _require_n_in_range(alpha: AlphaValue, n: int, prec: Precision):
                 raise DomainError("require n > alpha/24")
 
 
-def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePoint:
-    """Assemble nu, q, mu(0..q) and the oracle prefix p_alpha(0..q)."""
-    alpha = as_alpha(alpha)
-    _require_n_in_range(alpha, n, prec)
+def _geometry(alpha: AlphaValue, prec: Precision) -> dict:
+    """The fields of CirclePoint that do not depend on n."""
     q = _alpha_floor24(alpha, prec)
+    pm = oracle.coeffs(alpha, q, prec).values
     with prec.ctx():
         av = alpha.value_at(prec)
-        nu = mp.sqrt(n - av / 24)
+        order = av / 2 + 1
         mus = tuple(mp.sqrt(av / 24 - m) for m in range(q + 1))
-    pm = oracle.coeffs(alpha, q, prec).values
-    return CirclePoint(alpha=alpha, n=n, nu=nu, q=q, mus=mus, pm=pm)
+        weights = tuple(mu ** order * to_mpf(p) for mu, p in zip(mus, pm))
+        c = 4 * mp.pi ** 2 * (1 + 2 / av) * mus[0] * sum(weights, mp.mpf(0))
+    return dict(q=q, pm=pm, av=av, order=order, mus=mus, weights=weights, c=c)
+
+
+def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePoint:
+    """Assemble the series geometry at (alpha, n): nu plus the n-free fields."""
+    alpha = as_alpha(alpha)
+    _require_n_in_range(alpha, n, prec)
+    geometry = _geometry(alpha, prec)
+    with prec.ctx():
+        nu = mp.sqrt(n - geometry["av"] / 24)
+    return CirclePoint(alpha=alpha, n=n, nu=nu, **geometry)
 
 
 def _term_cutoff(x: mp.mpf) -> int:
@@ -207,6 +228,23 @@ def _term_cutoff(x: mp.mpf) -> int:
     return max(0, int(mp.ceil(x)) - 1)
 
 
+# The helpers below run inside the caller's working-precision context.
+
+def _cutoffs(point: CirclePoint, dv: mp.mpf) -> tuple:
+    """Term count per m at truncation dv: the k with 1 <= k < 2 pi mu(m)/dv."""
+    return tuple(_term_cutoff(2 * mp.pi * mu / dv) for mu in point.mus)
+
+
+def _ladder_delta(point: CirclePoint, j: int) -> mp.mpf:
+    """delta_j = 2 pi mu(0)/(j+1), the truncation with j terms in block m = 0."""
+    return 2 * mp.pi * point.mus[0] / (j + 1)
+
+
+def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision) -> mp.mpf:
+    """The first-form tail bound (C/delta) I_order(2 delta nu) / nu^order."""
+    return (point.c / dv) * bessel_i(point.order, 2 * dv * point.nu, prec) / point.nu ** point.order
+
+
 # ---------------------------------------------------------------------------
 # cached series terms
 # ---------------------------------------------------------------------------
@@ -215,42 +253,53 @@ def _term_cutoff(x: mp.mpf) -> int:
 #     t(m, k) = (2 pi / k) A_k(n, m) I_order(4 pi nu mu(m) / k)
 # does not depend on delta; delta only moves the k-cutoffs. The scans in
 # guaranteed/empirical/exact evaluate thousands of truncations of the same
-# term sequence, so terms and their prefix sums are cached per (alpha, n, dps).
+# term sequence, so the prefix sums of the terms are cached per (alpha, n, dps).
 
 class _TermCache:
     def __init__(self, point: CirclePoint, prec: Precision):
         self.point = point
         self.prec = prec
-        self.terms = [[] for _ in range(point.q + 1)]     # t(m, k), k = 1..
-        self.prefix = [[mp.mpc(0)] for _ in range(point.q + 1)]  # cumulative
+        self.prefix = [[mp.mpc(0)] for _ in range(point.q + 1)]  # sums of t(m, 1..k)
         self.max_abs = mp.mpf(0)  # largest |scaled contribution| seen
 
     def ensure(self, m: int, count: int):
-        terms, prefix = self.terms[m], self.prefix[m]
-        if len(terms) >= count:
+        prefix = self.prefix[m]
+        if len(prefix) > count:
             return
         point, prec = self.point, self.prec
         with prec.ctx():
-            av = point.alpha.value_at(prec)
-            order = av / 2 + 1
             two_pi = 2 * mp.pi
             base = 4 * mp.pi * point.nu * point.mus[m]
-            scale = point.mus[m] ** order * to_mpf(point.pm[m]) / point.nu ** order
-            for k in range(len(terms) + 1, count + 1):
+            scale = point.weights[m] / point.nu ** point.order
+            for k in range(len(prefix), count + 1):
                 ak = kloosterman(point.alpha, point.n, m, k, prec)
-                t = (two_pi / k) * ak * bessel_i(order, base / k, prec)
-                terms.append(t)
+                t = (two_pi / k) * ak * bessel_i(point.order, base / k, prec)
                 prefix.append(prefix[-1] + t)
                 mag = abs(t) * abs(scale)
                 if mag > self.max_abs:
                     self.max_abs = mag
 
-    def block(self, m: int, count: int) -> mp.mpc:
-        self.ensure(m, count)
-        return self.prefix[m][count]
+    def sum_blocks(self, dv: mp.mpf):
+        """(p_alpha(n; dv) as a complex sum, term counts per m).
+
+        The weighted prefix sums of the m-blocks are added in m ascending
+        order and the total is divided by nu^order.
+        """
+        point = self.point
+        with self.prec.ctx():
+            counts = _cutoffs(point, dv)
+            total = mp.mpc(0)
+            for m, count in enumerate(counts):
+                if count:
+                    self.ensure(m, count)
+                    total += point.weights[m] * self.prefix[m][count]
+            return total / point.nu ** point.order, counts
 
 
-_TERM_CACHES: dict = {}
+# Least recently used term caches. T5 builds 20 of them and the acceptance
+# check of its source values reuses four, so the bound stays above 20.
+_TERM_CACHE_SIZE = 32
+_TERM_CACHES: OrderedDict = OrderedDict()
 
 
 def _term_cache(alpha: AlphaValue, n: int, prec: Precision) -> _TermCache:
@@ -259,6 +308,10 @@ def _term_cache(alpha: AlphaValue, n: int, prec: Precision) -> _TermCache:
     if cache is None:
         cache = _TermCache(circle_point(alpha, n, prec), prec)
         _TERM_CACHES[key] = cache
+        if len(_TERM_CACHES) > _TERM_CACHE_SIZE:
+            _TERM_CACHES.popitem(last=False)
+    else:
+        _TERM_CACHES.move_to_end(key)
     return cache
 
 
@@ -302,10 +355,10 @@ class SeriesApproximation:
         )
 
 
-def _delta_range_check(delta, mu0, upper_needed=True):
+def _delta_range_check(delta, mu0):
     if delta <= 0:
         raise DomainError("delta must be positive")
-    if upper_needed and delta >= 2 * mp.pi * mu0:
+    if delta >= 2 * mp.pi * mu0:
         raise DomainError("delta must be below 2*pi*mu(0)")
 
 
@@ -323,25 +376,13 @@ def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) ->
     with prec.ctx():
         dv = to_mpf(delta)
         _delta_range_check(dv, point.mus[0])
-        av = alpha.value_at(prec)
-        order = av / 2 + 1
-        counts = tuple(
-            _term_cutoff(2 * mp.pi * point.mus[m] / dv) for m in range(point.q + 1)
-        )
-        total = mp.mpc(0)
-        for m in range(point.q + 1):
-            if counts[m] == 0:
-                continue
-            block = cache.block(m, counts[m])
-            total += point.mus[m] ** order * to_mpf(point.pm[m]) * block
-        total = total / point.nu ** order
+        total, counts = cache.sum_blocks(dv)
         re, im = mp.re(total), mp.im(total)
         hygiene = mp.mpf(10) ** (5 - prec.decimal_digits) * abs(re)
         if abs(im) > hygiene:
             raise ArithmeticError(
                 "imaginary residue %s exceeds hygiene bound %s" % (mp.nstr(im, 5), mp.nstr(hygiene, 5))
             )
-        tb = tail_bound(alpha, n, dv, prec)
         return SeriesApproximation(
             alpha=alpha,
             n=n,
@@ -349,7 +390,7 @@ def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) ->
             imag_residue=im,
             delta=dv,
             terms_per_m=counts,
-            tail_bound=tb,
+            tail_bound=_first_form_bound(point, dv, prec),
             precision_used=prec,
         )
 
@@ -371,18 +412,7 @@ def m_term_delta(alpha, m_terms: int, prec: Precision = DEFAULT_PRECISION) -> mp
 
 def tail_constant(alpha, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     """C = 4 pi^2 (1 + 2/alpha) mu(0) sum_{m<=q} mu(m)^(alpha/2+1) p_alpha(m)."""
-    alpha = as_alpha(alpha)
-    q = _alpha_floor24(alpha, prec)
-    pm = oracle.coeffs(alpha, q, prec).values
-    with prec.ctx():
-        av = alpha.value_at(prec)
-        order = av / 2 + 1
-        mu0 = mp.sqrt(av / 24)
-        acc = mp.mpf(0)
-        for m in range(q + 1):
-            mum = mp.sqrt(av / 24 - m)
-            acc += mum ** order * to_mpf(pm[m])
-        return 4 * mp.pi ** 2 * (1 + 2 / av) * mu0 * acc
+    return _geometry(as_alpha(alpha), prec)["c"]
 
 
 def tail_bound(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION,
@@ -394,20 +424,14 @@ def tail_bound(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION,
     (2 pi mu0 nu)^order, the variant whose inversion yields the closed-form
     exact-recovery delta (see recovery_delta).
     """
-    alpha = as_alpha(alpha)
-    _require_n_in_range(alpha, n, prec)
-    c = tail_constant(alpha, prec)
+    point = circle_point(alpha, n, prec)
     with prec.ctx():
-        av = alpha.value_at(prec)
-        order = av / 2 + 1
-        nu = mp.sqrt(n - av / 24)
-        mu0 = mp.sqrt(av / 24)
         dv = to_mpf(delta)
-        _delta_range_check(dv, mu0)
+        _delta_range_check(dv, point.mus[0])
         if second_form:
-            x = 2 * mp.pi * mu0 * nu
-            return c * dv ** (av / 2) * bessel_i(order, 2 * x, prec) / x ** order
-        return (c / dv) * bessel_i(order, 2 * dv * nu, prec) / nu ** order
+            x = 2 * mp.pi * point.mus[0] * point.nu
+            return point.c * dv ** (point.av / 2) * bessel_i(point.order, 2 * x, prec) / x ** point.order
+        return _first_form_bound(point, dv, prec)
 
 
 @dataclass(frozen=True)
@@ -458,18 +482,12 @@ def recovery_delta(a: int, b: int, n: int, prec: Precision = DEFAULT_PRECISION) 
     At this delta the second-form tail bound equals 1/(2D) exactly, so any
     smaller delta certifies correct rounding of D * p_alpha(n; delta).
     """
-    alpha = _rational_alpha(a, b)
-    _require_n_in_range(alpha, n, prec)
+    point = circle_point(_rational_alpha(a, b), n, prec)
     d = oracle.denominator(a, b, n)
-    c = tail_constant(alpha, prec)
     with prec.ctx():
-        av = alpha.value_at(prec)
-        order = av / 2 + 1
-        nu = mp.sqrt(n - av / 24)
-        mu0 = mp.sqrt(av / 24)
-        x = 2 * mp.pi * mu0 * nu
-        delta = (x ** order / (2 * d * c * bessel_i(order, 2 * x, prec))) ** (2 / av)
-        cap = 2 * mp.pi * mu0 * (1 - mp.mpf(10) ** -6)
+        x = 2 * mp.pi * point.mus[0] * point.nu
+        delta = (x ** point.order / (2 * d * point.c * bessel_i(point.order, 2 * x, prec))) ** (2 / point.av)
+        cap = 2 * mp.pi * point.mus[0] * (1 - mp.mpf(10) ** -6)
         return min(delta, cap)
 
 
@@ -477,31 +495,26 @@ def _recovery_precision(d: int) -> Precision:
     return Precision(decimal_digits=max(60, len(str(d)) + 20), guard_digits=10)
 
 
-def _ladder_scan(alpha: AlphaValue, n: int, threshold: mp.mpf, prec: Precision,
-                 cap: int = 1_000_000) -> int:
+_LADDER_CAP = 1_000_000  # largest ladder index the scan tries
+
+
+def _ladder_scan(point: CirclePoint, threshold: Fraction, prec: Precision) -> int:
     """Smallest ladder index j (delta_j = 2 pi mu0 / (j+1)) whose first-form
     tail bound is below threshold. Every term of (C/delta) I(2 delta nu) is a
     positive power of delta, so the bound strictly decreases as j grows;
     bracket the crossing by doubling and bisect for the minimal index."""
-    c = tail_constant(alpha, prec)
     with prec.ctx():
-        av = alpha.value_at(prec)
-        order = av / 2 + 1
-        nu = mp.sqrt(n - av / 24)
-        mu0 = mp.sqrt(av / 24)
-        two_pi_mu0 = 2 * mp.pi * mu0
+        limit = to_mpf(threshold)
 
         def clears(j):
-            dv = two_pi_mu0 / (j + 1)
-            bound = (c / dv) * bessel_i(order, 2 * dv * nu, prec) / nu ** order
-            return bound < threshold
+            return _first_form_bound(point, _ladder_delta(point, j), prec) < limit
 
         hi = 1
         while not clears(hi):
             hi *= 2
-            if hi > cap:
+            if hi > _LADDER_CAP:
                 raise ArithmeticError(
-                    "tail bound never met threshold within %d ladder steps" % cap)
+                    "tail bound never met threshold within %d ladder steps" % _LADDER_CAP)
         if hi == 1:
             return 1
         lo = hi // 2
@@ -514,22 +527,19 @@ def _ladder_scan(alpha: AlphaValue, n: int, threshold: mp.mpf, prec: Precision,
         return hi
 
 
-def _series_value_at_ladder(cache: _TermCache, j: int, prec: Precision):
-    """p_alpha(n; 2 pi mu0/(j+1)) via cached prefix sums; returns (value, counts)."""
-    point = cache.point
-    with prec.ctx():
-        av = point.alpha.value_at(prec)
-        order = av / 2 + 1
-        dv = 2 * mp.pi * point.mus[0] / (j + 1)
-        counts = tuple(
-            _term_cutoff(2 * mp.pi * point.mus[m] / dv) for m in range(point.q + 1)
-        )
-        total = mp.mpc(0)
-        for m in range(point.q + 1):
-            if counts[m]:
-                total += point.mus[m] ** order * to_mpf(point.pm[m]) * cache.block(m, counts[m])
-        total = total / point.nu ** order
-        return mp.re(total), counts
+def _escalate(alpha: AlphaValue, n: int, j: int, d: int, prec: Precision):
+    """Double the working precision from prec until the rounding noise of
+    p_alpha(n; delta_j), estimated as term count x 10^-digits x max term
+    magnitude, is below 1/(4D). Returns (term cache, value, precision)."""
+    while True:
+        cache = _term_cache(alpha, n, prec)
+        with prec.ctx():
+            total, counts = cache.sum_blocks(_ladder_delta(cache.point, j))
+            value = mp.re(total)
+            noise = sum(counts) * mp.mpf(10) ** (-prec.decimal_digits) * max(cache.max_abs, abs(value))
+            if noise < to_mpf(Fraction(1, 4 * d)):
+                return cache, value, prec
+        prec = Precision(decimal_digits=prec.decimal_digits * 2, guard_digits=10)
 
 
 def exact_value(a: int, b: int, n: int) -> Fraction:
@@ -548,24 +558,16 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
     _require_n_in_range(alpha, n, DEFAULT_PRECISION)
     d = oracle.denominator(a, b, n)
     prec = _recovery_precision(d)
-    quarter = Fraction(1, 4 * d)
+    j = _ladder_scan(_term_cache(alpha, n, prec).point, Fraction(1, 4 * d), prec)
+    _, value, prec = _escalate(alpha, n, j, d, prec)
     with prec.ctx():
-        j = _ladder_scan(alpha, n, to_mpf(quarter), prec)
-    while True:
-        cache = _term_cache(alpha, n, prec)
-        value, counts = _series_value_at_ladder(cache, j, prec)
-        with prec.ctx():
-            nterms = sum(counts)
-            noise = nterms * mp.mpf(10) ** (-prec.decimal_digits) * max(cache.max_abs, abs(value))
-            if noise < to_mpf(quarter):
-                dv_scaled = d * value
-                r = nearest_int(dv_scaled)
-                if abs(dv_scaled - r) > mp.mpf("0.49"):
-                    raise ArithmeticError(
-                        "rounding ambiguity at n=%d: D*value=%s" % (n, mp.nstr(dv_scaled, 30))
-                    )
-                return Fraction(r, d)
-        prec = Precision(decimal_digits=prec.decimal_digits * 2, guard_digits=10)
+        dv_scaled = d * value
+        r = nearest_int(dv_scaled)
+        if abs(dv_scaled - r) > mp.mpf("0.49"):
+            raise ArithmeticError(
+                "rounding ambiguity at n=%d: D*value=%s" % (n, mp.nstr(dv_scaled, 30))
+            )
+        return Fraction(r, d)
 
 
 def guaranteed_terms(a: int, b: int, n: int) -> int:
@@ -575,17 +577,11 @@ def guaranteed_terms(a: int, b: int, n: int) -> int:
     _require_n_in_range(alpha, n, DEFAULT_PRECISION)
     d = oracle.denominator(a, b, n)
     prec = _recovery_precision(2 * d)
+    point = circle_point(alpha, n, prec)
+    j = _ladder_scan(point, Fraction(1, 2 * d), prec)
     with prec.ctx():
-        j = _ladder_scan(alpha, n, to_mpf(Fraction(1, 2 * d)), prec)
         # translate the ladder index into a total (m, k) term count
-        av = alpha.value_at(prec)
-        mu0 = mp.sqrt(av / 24)
-        dv = 2 * mp.pi * mu0 / (j + 1)
-        q = _alpha_floor24(alpha, prec)
-        counts = [
-            _term_cutoff(2 * mp.pi * mp.sqrt(av / 24 - m) / dv) for m in range(q + 1)
-        ]
-        return sum(counts)
+        return sum(_cutoffs(point, _ladder_delta(point, j)))
 
 
 def empirical_min_terms(a: int, b: int, n: int) -> int:
@@ -601,36 +597,22 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
         raise ArithmeticError("denominator formula failed to clear p(n)")
     target = target.numerator
     prec = _recovery_precision(d)
-    with prec.ctx():
-        j_guaranteed = _ladder_scan(alpha, n, to_mpf(Fraction(1, 2 * d)), prec)
+    j_guaranteed = _ladder_scan(_term_cache(alpha, n, prec).point, Fraction(1, 2 * d), prec)
     # escalate precision exactly like exact_value so rounding reflects
     # truncation error, not floating noise
-    while True:
-        cache = _term_cache(alpha, n, prec)
-        value_g, counts_g = _series_value_at_ladder(cache, j_guaranteed, prec)
-        with prec.ctx():
-            noise = sum(counts_g) * mp.mpf(10) ** (-prec.decimal_digits) * max(
-                cache.max_abs, abs(value_g)
-            )
-            if noise < to_mpf(Fraction(1, 4 * d)):
-                break
-        prec = Precision(decimal_digits=prec.decimal_digits * 2, guard_digits=10)
-    cache = _term_cache(alpha, n, prec)
+    cache, _, prec = _escalate(alpha, n, j_guaranteed, d, prec)
+    point = cache.point
     last_fail = 0
-    for j in range(1, j_guaranteed + 1):
-        value, counts = _series_value_at_ladder(cache, j, prec)
-        with prec.ctx():
-            ok = nearest_int(d * value) == target
-        if not ok:
-            last_fail = j
-    if last_fail >= j_guaranteed:
-        raise ArithmeticError(
-            "rounding failed at the certified term count (n=%d, terms=%d)" % (n, j_guaranteed)
-        )
-    stable_from = last_fail + 1
     with prec.ctx():
-        _, counts = _series_value_at_ladder(cache, stable_from, prec)
-        return sum(counts)
+        for j in range(1, j_guaranteed + 1):
+            total, _ = cache.sum_blocks(_ladder_delta(point, j))
+            if nearest_int(d * mp.re(total)) != target:
+                last_fail = j
+        if last_fail >= j_guaranteed:
+            raise ArithmeticError(
+                "rounding failed at the certified term count (n=%d, terms=%d)" % (n, j_guaranteed)
+            )
+        return sum(_cutoffs(point, _ladder_delta(point, last_fail + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from fracpart.numkernel import (
     Precision,
     mpf_to_fraction,
     parse_alpha,
+    to_mpf,
 )
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
@@ -102,7 +103,7 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return mpf_to_fraction(mp.mpf(value))
+    return mpf_to_fraction(value)
 
 
 def within_print_ulp(printed: str, value) -> bool:
@@ -192,13 +193,14 @@ def compute_T2(prec: Precision = Precision(60, 10)) -> TableArtifact:
 def compute_T3(prec: Precision = Precision(60, 10)) -> TableArtifact:
     """alpha in {1/pi, 5}, n = 1..14, m in {1, 5}: ratios to the oracle."""
     golden = load_table("T3")
+    inv_pi, five = parse_alpha("1/pi"), parse_alpha("5")
     columns = (
-        ("r_1pi_m1", parse_alpha("1/pi"), 1),
-        ("r_1pi_m5", parse_alpha("1/pi"), 5),
-        ("r_5_m1", parse_alpha("5"), 1),
-        ("r_5_m5", parse_alpha("5"), 5),
+        ("r_1pi_m1", inv_pi, 1),
+        ("r_1pi_m5", inv_pi, 5),
+        ("r_5_m1", five, 1),
+        ("r_5_m5", five, 5),
     )
-    tables = {id(a): oracle.coeffs(a, 14, prec) for _, a, _ in columns}
+    tables = {alpha: oracle.coeffs(alpha, 14, prec) for alpha in (inv_pi, five)}
     rows, diffs = [], []
     for g in golden:
         n = int(g["n"])
@@ -206,8 +208,7 @@ def compute_T3(prec: Precision = Precision(60, 10)) -> TableArtifact:
         for col, alpha, m in columns:
             with prec.ctx():
                 approx = circle.partial_series(alpha, n, circle.m_term_delta(alpha, m, prec), prec).value
-                p = tables[id(alpha)].values[n]
-                ratio = approx / (p if not isinstance(p, Fraction) else mp.mpf(p.numerator) / p.denominator)
+                ratio = approx / tables[alpha].values[n]  # an int or an mpf
             c, d = _cell("T3", n, col, g[col], ratio)
             out.append(c)
             diffs.append(d)
@@ -228,7 +229,7 @@ def compute_T4(prec: Precision = Precision(60, 10)) -> TableArtifact:
     for col, alpha in columns:
         v = oracle.coeffs(alpha, 100, prec).values[100]
         with prec.ctx():
-            oracles[col] = mp.mpf(v.numerator) / v.denominator if isinstance(v, (Fraction,)) else mp.mpf(v)
+            oracles[col] = to_mpf(v)
     rows, diffs = [], []
     for g in golden:
         m = int(g["m"])
@@ -254,7 +255,7 @@ def compute_T5(prec: Precision = Precision(90, 10)) -> TableArtifact:
         by_n.setdefault(int(g["n"]), {})[int(g["d"])] = g
     rows, diffs = [], []
     for n in sorted(by_n):
-        vals, _ = jensen._default_values(alpha, n, 3, prec)
+        vals, _ = jensen.default_values(alpha, n, 3, prec)
         source = {n + j: vals[j] for j in range(4)}
         rendered = {}
         for d in (2, 3):

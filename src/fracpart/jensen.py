@@ -110,7 +110,7 @@ def _source_get(values, idx: int):
         raise DomainError("coefficient source lacks index %d" % idx) from exc
 
 
-def _default_values(alpha: AlphaValue, n: int, d: int, prec: Precision):
+def default_values(alpha: AlphaValue, n: int, d: int, prec: Precision):
     """p_alpha(n..n+d) plus a certified error bound per value.
 
     Rational alpha: exact rational recovery, error 0. Irrational alpha: the
@@ -186,7 +186,7 @@ def renormalized_jensen(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISI
         raise DomainError("d must be a positive integer")
     params = renorm_params(alpha, n, prec)
     if values is None:
-        vals, _ = _default_values(alpha, n, d, prec)
+        vals, _ = default_values(alpha, n, d, prec)
     else:
         vals = [_source_get(values, n + j) for j in range(d + 1)]
     with prec.ctx():
@@ -323,11 +323,8 @@ def is_hyperbolic(p: Polynomial, mode: str = "exact", tolerance=None) -> bool:
         raise DomainError("mode must be 'exact' or 'numeric'")
     if tolerance is None or tolerance <= 0:
         raise DomainError("numeric mode needs a positive tolerance")
-    center = [
-        c if isinstance(c, (int, Fraction)) else mpf_to_fraction(mp.mpf(c))
-        for c in p.coefficients
-    ]
-    tol = tolerance if isinstance(tolerance, Fraction) else mpf_to_fraction(mp.mpf(tolerance))
+    center = [c if isinstance(c, (int, Fraction)) else mpf_to_fraction(c) for c in p.coefficients]
+    tol = tolerance if isinstance(tolerance, Fraction) else mpf_to_fraction(tolerance)
     if abs(center[-1]) <= tol:
         raise IndeterminateVerdict("leading coefficient smaller than tolerance")
     verdict = _exact_hyperbolic(center)
@@ -422,14 +419,14 @@ def build_report(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISION,
     """Raw + renormalized Jensen polynomial at (alpha, d, n) with verdict."""
     alpha = as_alpha(alpha)
     if values is None:
-        vals, errs = _default_values(alpha, n, d, prec)
+        vals, errs = default_values(alpha, n, d, prec)
     else:
         vals = [_source_get(values, n + j) for j in range(d + 1)]
         errs = [mp.mpf(0)] * (d + 1)
     table = {n + j: vals[j] for j in range(d + 1)}
-    raw = jensen_poly(table, d, n)
     renorm = renormalized_jensen(alpha, d, n, prec, values=table)
     with prec.ctx():
+        raw = jensen_poly(table, d, n)
         if alpha.kind == "rational":
             verdict = is_hyperbolic(raw, mode="exact")
         else:

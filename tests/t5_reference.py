@@ -57,7 +57,7 @@ def main():
 
     print("100-term series source against the recurrence:")
     for n in sorted({int(g["n"]) for g in golden}):
-        vals, _ = jensen._default_values(alpha, n, 3, SERIES_PREC)
+        vals, _ = jensen.default_values(alpha, n, 3, SERIES_PREC)
         with PREC.ctx():
             rel = max(abs(vals[j] / (mp.mpf(p[n + j]) / 2 ** FRAC_BITS) - 1)
                       for j in range(4))

@@ -141,7 +141,7 @@ def test_criterion_5_renormalized_jensen_table(sqrt3_fixed_point, criterion):
     # premise check: the 100-term series source is precise enough that any
     # cell deviation is attributable to the golden values, not to truncation.
     # Both its own tail bound and the independent fixed-point recurrence say so.
-    vals, errs = jensen._default_values(a, 10000, 3, p90)
+    vals, errs = jensen.default_values(a, 10000, 3, p90)
     p_fixed, bits = sqrt3_fixed_point
     with p90.ctx():
         tail_rel = max(e / abs(v) for v, e in zip(vals, errs))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_kloosterman
 from fracpart import circle, oracle
-from fracpart.numkernel import DomainError, Precision, parse_alpha, to_mpf
+from fracpart.numkernel import DEFAULT_PRECISION, DomainError, Precision, parse_alpha, to_mpf
 
 
 def coprime_pairs():
@@ -263,6 +263,28 @@ def test_clear_caches_keeps_values():
     assert before == after
 
 
+def test_term_cache_is_a_bounded_lru():
+    a = parse_alpha("1")
+    delta = circle.m_term_delta(a, 1)
+
+    def key(n):
+        return (a.key(), n, DEFAULT_PRECISION.work_dps)
+
+    circle.clear_caches()
+    for n in range(1, 41):
+        circle.partial_series(a, n, delta)
+    assert len(circle._TERM_CACHES) <= 32
+    assert key(40) in circle._TERM_CACHES
+    # a hit refreshes an entry, so the next eviction takes another one
+    oldest, second = list(circle._TERM_CACHES)[:2]
+    circle.partial_series(a, oldest[1], delta)
+    circle.partial_series(a, 41, delta)
+    assert oldest in circle._TERM_CACHES
+    assert second not in circle._TERM_CACHES
+    circle.clear_caches()
+    assert not circle._TERM_CACHES
+
+
 # ---------------------------------------------------------------------------
 # m_term_delta
 # ---------------------------------------------------------------------------
@@ -324,6 +346,65 @@ def test_tail_bound_rejects_out_of_range_delta():
     a = parse_alpha("5")
     with pytest.raises(DomainError):
         circle.tail_bound(a, 14, mp.mpf(10))
+
+
+# ---------------------------------------------------------------------------
+# pinned bits of the series layer
+# ---------------------------------------------------------------------------
+#
+# _mpf_ tuples (sign, mantissa, exponent, bit count) at the default precision.
+# Summation order is canonical, so a rework of the series layer must
+# reproduce every bit, not just the printed digits.
+
+PINNED_SERIES = [
+    # alpha, n, delta (a term count or a decimal), value, first-form bound,
+    # second-form bound
+    ("51/7", 10, 8,
+     (0, 102098571647082734867867658780083632446324124861012017910402086981357143, -218, 236),
+     (0, 14736476983456276704974557534064062800790564380530988079662824078157851, -243, 234),
+     (0, 89026594852015235151089595754572041114367545676442048820101204248087305, -229, 236)),
+    ("e", 10, 1,
+     (0, 46076581492300228246622053605849232670026959341427717813934459779505387, -224, 235),
+     (0, 30051671485472052567729011343910412605690238245976890329274766111260053, -231, 235),
+     (0, 62353015129030538295159381552310897341401687752523300632185897477548371, -225, 236)),
+    ("30", 5, "1",
+     (0, 48105180462113563070439887877037542107797713348919559047201951330963655, -216, 235),
+     (0, 31685334934370076941558300064242828394540724945317625742705500548011939, -270, 235),
+     (0, 90161394622667700693316096529763762857510108046301429297392474719974729, -259, 236)),
+    ("8*pi", 30, "0.7",
+     (0, 22213593747218903914031126344374582380223225989566853806529116660371015, -170, 234),
+     (0, 14962881643787270540906572684649403032245342292064046965495948260235925, -267, 234),
+     (0, 20818501872560205809793352097859257168507383258384256295491445448305991, -210, 234)),
+]
+
+PINNED_TAIL_CONSTANTS = {
+    "1/3": (0, 37096809680805727771783126590021550920363895351359520325010980662666625, -233, 235),
+    "51/7": (0, 96158569321540424870310253632483428155500320778208847829089062003153769, -235, 236),
+    "e": (0, 12191981147117219649537134123986283572937137615948557434498621886643611, -232, 233),
+    "30": (0, 7566167511625283147819913938298154670594644080119578366108154199169679, -224, 233),
+}
+
+
+@pytest.mark.parametrize("alpha_text, n, delta, value, first, second", PINNED_SERIES)
+def test_series_bits_pinned(alpha_text, n, delta, value, first, second):
+    a = parse_alpha(alpha_text)
+    if isinstance(delta, int):
+        delta = circle.m_term_delta(a, delta)
+    else:
+        with DEFAULT_PRECISION.ctx():
+            delta = mp.mpf(delta)
+    s = circle.partial_series(a, n, delta)
+    assert s.value._mpf_ == value
+    assert s.tail_bound._mpf_ == first
+    assert circle.tail_bound(a, n, delta)._mpf_ == first
+    assert circle.tail_bound(a, n, delta, second_form=True)._mpf_ == second
+
+
+def test_tail_constant_and_recovery_delta_bits_pinned():
+    for alpha_text, bits in PINNED_TAIL_CONSTANTS.items():
+        assert circle.tail_constant(parse_alpha(alpha_text))._mpf_ == bits
+    assert circle.recovery_delta(51, 7, 10)._mpf_ == (
+        0, 56520956936864789251904068025861066991927724406244848650592539625958629, -247, 236)
 
 
 # ---------------------------------------------------------------------------

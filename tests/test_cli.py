@@ -227,6 +227,14 @@ def test_fmt_like_rounds_the_exact_value_once():
         assert goldens.fmt_like("0.1", mp.mpf("0.15") - mp.mpf(10) ** -30) == "0.1"
         assert goldens.fmt_like("0.1", -(mp.mpf("0.15") - mp.mpf(10) ** -30)) == "-0.1"
     # an exact tie rounds half away from zero
+    # outside any precision context the exact value is read, not its
+    # rounding to the ambient 53 bits (which is the tie 0.25, or 0.1 within
+    # one printed ulp of 0.2)
+    with mp.workdps(50):
+        v = mp.mpf("0.25") - mp.mpf(10) ** -30
+        w = mp.mpf("0.1") - mp.mpf(10) ** -30
+    assert goldens.fmt_like("0.1", v) == "0.2"
+    assert not goldens.within_print_ulp("0.2", w)
     assert goldens.fmt_like("0.1", mp.mpf("0.25")) == "0.3"
     assert goldens.fmt_like("0.1", mp.mpf("-0.25")) == "-0.3"
     assert goldens.fmt_like("0.001", mp.mpf("0.00025")) == "0.000"

@@ -126,6 +126,15 @@ def test_numeric_mode_determinate():
     assert not jensen.is_hyperbolic(q, mode="numeric", tolerance=mp.mpf("1e-30"))
 
 
+def test_numeric_mode_reads_coefficients_exactly():
+    # X^2 - X + (1/4 + 1e-30) has no real root; at 53 bits its constant term
+    # would round to 1/4 and leave a double root
+    with mp.workdps(50):
+        p = jensen.Polynomial.make([mp.mpf(1) / 4 + mp.mpf(10) ** -30, mp.mpf(-1), mp.mpf(1)])
+        tol = mp.mpf(10) ** -40
+    assert jensen.is_hyperbolic(p, mode="numeric", tolerance=tol) is False
+
+
 def test_numeric_mode_indeterminate_near_double_root():
     # X^2 flips verdict under a +/- tolerance on the constant term
     p = jensen.Polynomial.make([mp.mpf(0), mp.mpf(0), mp.mpf(1)])
@@ -264,6 +273,16 @@ def test_build_report_real_alpha():
     rep = jensen.build_report(parse_alpha("sqrt(3)"), 2, 100)
     assert rep.hyperbolic is True
     assert rep.raw.degree == 2
+
+
+def test_build_report_raw_coefficients_at_working_precision():
+    prec = Precision(60, 10)
+    a = parse_alpha("sqrt(3)")
+    rep = jensen.build_report(a, 3, 200, prec)
+    vals, _ = jensen.default_values(a, 200, 3, prec)
+    with prec.ctx():
+        expected = [comb(3, j) * vals[j] for j in range(4)]
+    assert list(rep.raw.coefficients) == expected
 
 
 def test_report_json_fields():

@@ -263,6 +263,12 @@ def test_mpf_to_fraction_round_trip_exact():
         assert to_mpf(frac) == v
 
 
+def test_mpf_to_fraction_exact_under_default_precision():
+    with mp.workprec(200):
+        v = 1 - mp.mpf(2) ** -199
+    assert mpf_to_fraction(v) == 1 - Fraction(1, 2 ** 199)
+
+
 def test_to_mpf_accepts_fraction():
     with mp.workdps(30):
         assert to_mpf(Fraction(1, 4)) == mp.mpf("0.25")
