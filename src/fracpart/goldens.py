@@ -98,14 +98,6 @@ def load_table(table_id: str):
 # printed-precision helpers
 # ---------------------------------------------------------------------------
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return mpf_to_fraction(value)
-
-
 def within_print_ulp(printed: str, value) -> bool:
     """|value - printed| <= 1 unit in the printed string's last digit.
 
@@ -113,9 +105,9 @@ def within_print_ulp(printed: str, value) -> bool:
     """
     printed = printed.strip()
     if "/" in printed or "." not in printed:
-        return _as_fraction(value) == Fraction(printed)
+        return mpf_to_fraction(value) == Fraction(printed)
     ulp = Fraction(1, 10 ** len(printed.split(".")[1]))
-    return abs(_as_fraction(value) - Fraction(printed)) <= ulp
+    return abs(mpf_to_fraction(value) - Fraction(printed)) <= ulp
 
 
 def fmt_like(printed: str, value) -> str:
@@ -123,14 +115,14 @@ def fmt_like(printed: str, value) -> str:
     half-away-from-zero), so tables read like the reference."""
     printed = printed.strip()
     if "/" in printed:
-        f = _as_fraction(value)
+        f = mpf_to_fraction(value)
         return "%d/%d" % (f.numerator, f.denominator)
     if "." not in printed:
         return str(int(value))
     dp = len(printed.split(".")[1])
     # round the exact value once; rendering to a few more digits first would
     # round twice and can land on the wrong side of a tie
-    scaled = _as_fraction(value) * 10 ** dp
+    scaled = mpf_to_fraction(value) * 10 ** dp
     digits = floor(abs(scaled) + Fraction(1, 2))
     return str(Decimal((int(scaled < 0), tuple(map(int, str(digits))), -dp)))
 

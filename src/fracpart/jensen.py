@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import mpmath as mp
@@ -50,10 +51,7 @@ class Polynomial:
 
     @staticmethod
     def make(coeffs) -> "Polynomial":
-        cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
-            cs.pop()
-        return Polynomial(tuple(cs))
+        return Polynomial(tuple(_trim(list(coeffs))))
 
     @property
     def degree(self) -> int:
@@ -71,7 +69,7 @@ class Polynomial:
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.coefficients[i]
-            if _is_zero(c):
+            if c == 0:
                 continue
             cs = str(c) if isinstance(c, (int, Fraction)) else mp.nstr(mp.mpf(c), digits)
             neg = cs.startswith("-")
@@ -89,21 +87,11 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _is_zero(c) -> bool:
-    return c == 0
-
-
 # ---------------------------------------------------------------------------
 # coefficient sources
 # ---------------------------------------------------------------------------
 
 def _source_get(values, idx: int):
-    if isinstance(values, oracle.CoefficientTable):
-        if idx > values.upto:
-            raise DomainError("coefficient table too short: need index %d" % idx)
-        return values.values[idx]
-    if callable(values):
-        return values(idx)
     try:
         return values[idx]
     except (IndexError, KeyError) as exc:
@@ -129,6 +117,13 @@ def default_values(alpha: AlphaValue, n: int, d: int, prec: Precision):
             vals.append(approx.value)
             errs.append(approx.tail_bound)
     return vals, errs
+
+
+def _window(alpha: AlphaValue, n: int, d: int, prec: Precision, values):
+    """p(n..n+d) and their error bounds: default_values, or values with error 0."""
+    if values is None:
+        return default_values(alpha, n, d, prec)
+    return [_source_get(values, n + j) for j in range(d + 1)], [mp.mpf(0)] * (d + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +174,19 @@ def renormalized_jensen(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISI
         delta^(i-d)/p(n) * sum_{j>=i} binom(d,j) p(n+j) e^(-Aj) binom(j,i) (-1)^(j-i).
 
     values overrides the coefficient source (defaults to exact recovery for
-    rational alpha, the 100-term certified series for irrational alpha).
+    rational alpha, the 100-term certified series for irrational alpha); it
+    may be any indexable source (sequence, dict, CoefficientTable).
     """
     alpha = as_alpha(alpha)
     if d < 1:
         raise DomainError("d must be a positive integer")
     params = renorm_params(alpha, n, prec)
-    if values is None:
-        vals, _ = default_values(alpha, n, d, prec)
-    else:
-        vals = [_source_get(values, n + j) for j in range(d + 1)]
+    vals, _ = _window(alpha, n, d, prec, values)
+    return _renormalize(params, d, vals, prec)
+
+
+def _renormalize(params: RenormParams, d: int, vals, prec: Precision) -> Polynomial:
+    """Jhat^{d,n} from the window vals = p(n..n+d)."""
     with prec.ctx():
         pv = [to_mpf(v) for v in vals]
         if pv[0] == 0:
@@ -233,66 +231,20 @@ def _deriv(cs):
     return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _divmod_poly(a, b):
-    a = _trim(a[:])
-    b = _trim(b[:])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _rem_poly(a, b):
+    """Remainder of a by b; b is trimmed and nonzero."""
+    a = a[:]
     while len(a) >= len(b):
         shift = len(a) - len(b)
         factor = a[-1] / b[-1]
-        q[shift] = factor
         for i, c in enumerate(b):
             a[i + shift] -= factor * c
         _trim(a)
-    return _trim(q), a
+    return a
 
 
-def _squarefree(cs):
-    # cs / gcd(cs, cs'): multiple roots collapse, verdict unchanged
-    a, b = cs[:], _deriv(cs)
-    while b:
-        _, r = _divmod_poly(a, b)
-        a, b = b, r
-    g = a
-    if len(g) <= 1:
-        return cs[:]
-    quot, rem = _divmod_poly(cs[:], g)
-    assert not rem
-    return quot
-
-
-def _sturm_chain(cs):
-    chain = [cs[:], _deriv(cs)]
-    while chain[-1]:
-        _, r = _divmod_poly(chain[-2][:], chain[-1])
-        chain.append([-c for c in r])
-    chain.pop()
-    return chain
-
-
-def _variations(signs):
-    v = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            v += 1
-        prev = s
-    return v
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _real_root_count(cs) -> int:
-    chain = _sturm_chain(cs)
-    at_pos = [_sign(p[-1]) for p in chain if p]
-    at_neg = [_sign(p[-1]) * (-1) ** (len(p) - 1) for p in chain if p]
-    return _variations(at_neg) - _variations(at_pos)
+def _variations(signs) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _exact_hyperbolic(coeffs) -> bool:
@@ -301,16 +253,25 @@ def _exact_hyperbolic(coeffs) -> bool:
         raise DomainError("zero polynomial has no hyperbolicity verdict")
     if len(cs) <= 2:
         return True  # constants and linear polynomials
-    sf = _squarefree(cs)
-    return _real_root_count(sf) == len(sf) - 1
+    # Sturm chain p, p', then the negated remainders; its last member is
+    # gcd(p, p'). The theorem needs no squarefree p: V(-inf) - V(+inf) counts
+    # the distinct real roots, and p has deg p - deg gcd(p, p') distinct roots
+    chain = [cs, _deriv(cs)]
+    while r := _rem_poly(chain[-2], chain[-1]):
+        chain.append([-c for c in r])
+    at_pos = [p[-1] > 0 for p in chain]
+    at_neg = [s == (len(p) % 2 == 1) for s, p in zip(at_pos, chain)]
+    return _variations(at_neg) - _variations(at_pos) == len(cs) - len(chain[-1])
 
 
 def is_hyperbolic(p: Polynomial, mode: str = "exact", tolerance=None) -> bool:
     """All roots real? Exact Sturm verdict for rational coefficients.
 
     mode="numeric" widens every coefficient into an interval of radius
-    `tolerance`, reruns the exact test on all interval corners, and raises
-    IndeterminateVerdict if any corner disagrees with the center.
+    `tolerance` and reruns the exact test on perturbed coefficients: on every
+    corner of the box for up to 12 coefficients, on six fixed sign patterns
+    above that. It raises IndeterminateVerdict if any of them disagrees with
+    the center. Neither probe proves the verdict for the whole box.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial.make(p)
@@ -323,8 +284,8 @@ def is_hyperbolic(p: Polynomial, mode: str = "exact", tolerance=None) -> bool:
         raise DomainError("mode must be 'exact' or 'numeric'")
     if tolerance is None or tolerance <= 0:
         raise DomainError("numeric mode needs a positive tolerance")
-    center = [c if isinstance(c, (int, Fraction)) else mpf_to_fraction(c) for c in p.coefficients]
-    tol = tolerance if isinstance(tolerance, Fraction) else mpf_to_fraction(tolerance)
+    center = [mpf_to_fraction(c) for c in p.coefficients]
+    tol = mpf_to_fraction(tolerance)
     if abs(center[-1]) <= tol:
         raise IndeterminateVerdict("leading coefficient smaller than tolerance")
     verdict = _exact_hyperbolic(center)
@@ -347,6 +308,17 @@ def is_hyperbolic(p: Polynomial, mode: str = "exact", tolerance=None) -> bool:
     return verdict
 
 
+def _tolerance(raw: Polynomial, errs, prec: Precision):
+    """Numeric-mode radius for a raw Jensen polynomial whose values p(n+j)
+    carry the error bounds errs (empty if none): the largest binom(d,j) err_j,
+    and at least 10^(10 - digits) of the largest coefficient. Call inside
+    prec.ctx()."""
+    d = len(errs) - 1
+    scale = max(abs(to_mpf(c)) for c in raw.coefficients)
+    return max([comb(d, j) * e for j, e in enumerate(errs)]
+               + [scale * mp.mpf(10) ** (10 - prec.decimal_digits)])
+
+
 def hyperbolicity_threshold(alpha, d: int, horizon: int,
                             prec: Precision = DEFAULT_PRECISION, values=None):
     """Smallest n0 <= horizon with J^{d,n} hyperbolic for every n in [n0, horizon].
@@ -354,7 +326,9 @@ def hyperbolicity_threshold(alpha, d: int, horizon: int,
     Empirical proxy for the true threshold N_d(alpha): the scan cannot rule
     out failures beyond the horizon. Returns None when even n = horizon fails.
     Rational alpha gets exact verdicts from the oracle table; irrational alpha
-    uses numeric mode with a tolerance tied to the table's precision.
+    uses numeric mode with a tolerance tied to the table's precision. values
+    replaces the oracle table: any indexable source (sequence, dict,
+    CoefficientTable).
     """
     alpha = as_alpha(alpha)
     if horizon <= d:
@@ -369,8 +343,7 @@ def hyperbolicity_threshold(alpha, d: int, horizon: int,
             if exact:
                 ok = is_hyperbolic(poly, mode="exact")
             else:
-                scale = max(abs(to_mpf(c)) for c in poly.coefficients)
-                tol = scale * mp.mpf(10) ** (-(prec.decimal_digits - 10))
+                tol = _tolerance(poly, (), prec)
                 ok = is_hyperbolic(poly, mode="numeric", tolerance=tol)
             if not ok:
                 last_fail = n
@@ -416,31 +389,25 @@ class JensenReport:
 
 def build_report(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISION,
                  values=None) -> JensenReport:
-    """Raw + renormalized Jensen polynomial at (alpha, d, n) with verdict."""
+    """Raw + renormalized Jensen polynomial at (alpha, d, n) with verdict.
+
+    values overrides the coefficient source as in renormalized_jensen: any
+    indexable source (sequence, dict, CoefficientTable).
+    """
     alpha = as_alpha(alpha)
-    if values is None:
-        vals, errs = default_values(alpha, n, d, prec)
-    else:
-        vals = [_source_get(values, n + j) for j in range(d + 1)]
-        errs = [mp.mpf(0)] * (d + 1)
-    table = {n + j: vals[j] for j in range(d + 1)}
-    renorm = renormalized_jensen(alpha, d, n, prec, values=table)
+    if d < 1:
+        raise DomainError("d must be a positive integer")
+    params = renorm_params(alpha, n, prec)
+    vals, errs = _window(alpha, n, d, prec, values)
+    renorm = _renormalize(params, d, vals, prec)
     with prec.ctx():
-        raw = jensen_poly(table, d, n)
+        raw = jensen_poly(vals, d, 0)  # the window starts at index 0
         if alpha.kind == "rational":
             verdict = is_hyperbolic(raw, mode="exact")
         else:
-            tol = mp.mpf(0)
-            scale = mp.mpf(0)
-            for j in range(d + 1):
-                tol = max(tol, comb(d, j) * errs[j])
-                scale = max(scale, comb(d, j) * abs(to_mpf(vals[j])))
-            tol = max(tol, scale * mp.mpf(10) ** (-(prec.decimal_digits - 10)))
-            verdict = is_hyperbolic(raw, mode="numeric", tolerance=tol)
-        target = hermite(d)
-        hc = list(target.coefficients) + [0] * max(0, d + 1 - len(target.coefficients))
-        rc = list(renorm.coefficients) + [0] * max(0, d + 1 - len(renorm.coefficients))
-        dist = max(abs(to_mpf(a) - to_mpf(b)) for a, b in zip(rc, hc))
+            verdict = is_hyperbolic(raw, mode="numeric", tolerance=_tolerance(raw, errs, prec))
+        pairs = zip_longest(renorm.coefficients, hermite(d).coefficients, fillvalue=0)
+        dist = max(abs(to_mpf(a) - to_mpf(b)) for a, b in pairs)
     return JensenReport(
         alpha=alpha, d=d, n=n, raw=raw, renormalized=renorm,
         hyperbolic=verdict, hermite_distance=dist,

@@ -73,9 +73,12 @@ def to_mpf(x) -> mp.mpf:
 def mpf_to_fraction(x: mp.mpf) -> Fraction:
     """Exact rational value of a finite mpf (mantissa * 2^exponent).
 
-    An mpf is read as it is, whatever the ambient precision; anything else
-    goes through mp.mpf first.
+    An mpf is read as it is, whatever the ambient precision; an int or a
+    Fraction is returned as a Fraction unchanged; anything else goes through
+    mp.mpf first.
     """
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
     sign, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
     if man == 0:
         if x == 0:

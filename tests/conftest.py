@@ -11,6 +11,10 @@ reference_kloosterman and reference_bessel_i are the straightforward mpf
 versions of the library's two inner kernels (Fraction phases, separate
 cospi/sinpi calls, an mpc sum; an mpf series loop). The library's kernels
 must reproduce them bit for bit.
+
+reference_exact_hyperbolic decides real-rootedness the long way: divide out
+gcd(p, p') first, then count the real roots of the squarefree part with a
+Sturm chain. The library's single-chain verdict must agree with it.
 """
 
 from fractions import Fraction
@@ -148,6 +152,68 @@ def reference_bessel_i(nu, z, prec):
             if term < cutoff * total:
                 break
         return +total
+
+
+def _ref_trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_deriv(cs):
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _ref_divmod(a, b):
+    a, b = _ref_trim(a[:]), _ref_trim(b[:])
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        q[shift] = factor = a[-1] / b[-1]
+        for i, c in enumerate(b):
+            a[i + shift] -= factor * c
+        _ref_trim(a)
+    return _ref_trim(q), a
+
+
+def _ref_variations(signs):
+    v, prev = 0, 0
+    for s in signs:
+        if s == 0:
+            continue
+        if prev and s != prev:
+            v += 1
+        prev = s
+    return v
+
+
+def reference_exact_hyperbolic(coeffs):
+    """All roots of the rational polynomial coeffs (ascending) real?
+
+    The squarefree part cs / gcd(cs, cs') has the same distinct roots; it is
+    hyperbolic iff its Sturm chain counts deg of it real roots.
+    """
+    cs = _ref_trim([Fraction(c) for c in coeffs])
+    assert cs, "zero polynomial"
+    if len(cs) <= 2:
+        return True
+    a, b = cs[:], _ref_deriv(cs)
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    if len(a) > 1:
+        cs, rem = _ref_divmod(cs, a)
+        assert not rem
+    chain = [cs, _ref_deriv(cs)]
+    while chain[-1]:
+        chain.append([-c for c in _ref_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    at_pos = [sign(p[-1]) for p in chain]
+    at_neg = [sign(p[-1]) * (-1) ** (len(p) - 1) for p in chain]
+    return _ref_variations(at_neg) - _ref_variations(at_pos) == len(cs) - 1
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracpart import jensen, oracle
+from conftest import reference_exact_hyperbolic
+from fracpart import circle, jensen, oracle
 from fracpart.numkernel import DomainError, Precision, parse_alpha
 
 
@@ -67,8 +68,9 @@ def test_jensen_poly_binomial_weights():
 
 
 def test_jensen_poly_insufficient_values():
-    with pytest.raises(DomainError):
-        jensen.jensen_poly([1, 2, 3], 3, 1)
+    for source in ([1, 2, 3], oracle.coeffs(parse_alpha("1"), 3)):
+        with pytest.raises(DomainError):
+            jensen.jensen_poly(source, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +142,50 @@ def test_numeric_mode_indeterminate_near_double_root():
     p = jensen.Polynomial.make([mp.mpf(0), mp.mpf(0), mp.mpf(1)])
     with pytest.raises(jensen.IndeterminateVerdict):
         jensen.is_hyperbolic(p, mode="numeric", tolerance=mp.mpf("1e-10"))
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _factored_polynomials(draw):
+    """(coefficients, hyperbolic?) for a rational multiple of a product of
+    linear and irreducible quadratic factors, some repeated."""
+    poly = [draw(_small_rationals.filter(bool))]
+    real_rooted = True
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            factor = [-draw(_small_rationals), 1]
+        else:
+            b = draw(_small_rationals)
+            gap = draw(st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6))
+            factor = [b * b / 4 + gap, b, 1]  # discriminant -4 gap < 0
+            real_rooted = False
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            poly = _poly_mul(poly, factor)
+    return poly, real_rooted
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                min_size=1, max_size=10).filter(any))
+def test_single_sturm_chain_matches_squarefree_reference_dense(coeffs):
+    assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_factored_polynomials())
+def test_single_sturm_chain_matches_squarefree_reference_factored(case):
+    coeffs, real_rooted = case
+    assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs) == real_rooted
 
 
 def _compose_affine(p, a, b):
@@ -283,6 +329,17 @@ def test_build_report_raw_coefficients_at_working_precision():
     with prec.ctx():
         expected = [comb(3, j) * vals[j] for j in range(4)]
     assert list(rep.raw.coefficients) == expected
+
+
+def test_build_report_rejects_n_before_computing_values(monkeypatch):
+    # delta(n) is undefined at n = 9 for alpha = 51/7; exact recovery of
+    # p(9..11) would take seconds before that is noticed
+    def never(*args):
+        pytest.fail("exact_value called for an n that renorm_params rejects")
+
+    monkeypatch.setattr(circle, "exact_value", never)
+    with pytest.raises(DomainError, match="radicand is nonpositive at n=9"):
+        jensen.build_report(parse_alpha("51/7"), 2, 9)
 
 
 def test_report_json_fields():

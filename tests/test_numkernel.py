@@ -267,6 +267,9 @@ def test_mpf_to_fraction_exact_under_default_precision():
     with mp.workprec(200):
         v = 1 - mp.mpf(2) ** -199
     assert mpf_to_fraction(v) == 1 - Fraction(1, 2 ** 199)
+    # exact inputs stay exact rather than rounding to 53 bits
+    assert mpf_to_fraction(10 ** 30 + 1) == 10 ** 30 + 1
+    assert mpf_to_fraction(Fraction(1, 3)) == Fraction(1, 3)
 
 
 def test_to_mpf_accepts_fraction():
