@@ -495,6 +495,16 @@ def _recovery_precision(d: int) -> Precision:
     return Precision(decimal_digits=max(60, len(str(d)) + 20), guard_digits=10)
 
 
+def _recovery_setup(a: int, b: int, n: int):
+    """(alpha, D, starting precision, cached series point) for recovering
+    p_{a/b}(n); the precision is _recovery_precision(D)."""
+    alpha = _rational_alpha(a, b)
+    _require_n_in_range(alpha, n, DEFAULT_PRECISION)
+    d = oracle.denominator(a, b, n)
+    prec = _recovery_precision(d)
+    return alpha, d, prec, _term_cache(alpha, n, prec).point
+
+
 _LADDER_CAP = 1_000_000  # largest ladder index the scan tries
 
 
@@ -554,11 +564,8 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
     astronomically many terms; the ladder delta satisfies the same inequality
     with the sharper first bound form.
     """
-    alpha = _rational_alpha(a, b)
-    _require_n_in_range(alpha, n, DEFAULT_PRECISION)
-    d = oracle.denominator(a, b, n)
-    prec = _recovery_precision(d)
-    j = _ladder_scan(_term_cache(alpha, n, prec).point, Fraction(1, 4 * d), prec)
+    alpha, d, prec, point = _recovery_setup(a, b, n)
+    j = _ladder_scan(point, Fraction(1, 4 * d), prec)
     _, value, prec = _escalate(alpha, n, j, d, prec)
     with prec.ctx():
         dv_scaled = d * value
@@ -572,12 +579,9 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
 
 def guaranteed_terms(a: int, b: int, n: int) -> int:
     """Smallest ladder term count whose first-form tail bound certifies that
-    rounding D * p_alpha(n; delta) recovers p_alpha(n) (bound < 1/(2D))."""
-    alpha = _rational_alpha(a, b)
-    _require_n_in_range(alpha, n, DEFAULT_PRECISION)
-    d = oracle.denominator(a, b, n)
-    prec = _recovery_precision(2 * d)
-    point = circle_point(alpha, n, prec)
+    rounding D * p_alpha(n; delta) recovers p_alpha(n) (bound < 1/(2D)).
+    The scan runs on the cached series point exact_value starts from."""
+    _, d, prec, point = _recovery_setup(a, b, n)
     j = _ladder_scan(point, Fraction(1, 2 * d), prec)
     with prec.ctx():
         # translate the ladder index into a total (m, k) term count
@@ -588,16 +592,12 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     """Smallest term count from which rounding is stably correct: one past the
     last ladder index in [1, guaranteed] where rounding D * p_alpha(n; delta_j)
     misses the oracle value. Aborts if the certified index itself fails."""
-    alpha = _rational_alpha(a, b)
-    _require_n_in_range(alpha, n, DEFAULT_PRECISION)
-    d = oracle.denominator(a, b, n)
-    p_true = oracle.coeffs(alpha, n).values[n]
-    target = p_true * d
+    alpha, d, prec, point = _recovery_setup(a, b, n)
+    target = oracle.coeffs(alpha, n).values[n] * d
     if target.denominator != 1:
         raise ArithmeticError("denominator formula failed to clear p(n)")
     target = target.numerator
-    prec = _recovery_precision(d)
-    j_guaranteed = _ladder_scan(_term_cache(alpha, n, prec).point, Fraction(1, 2 * d), prec)
+    j_guaranteed = _ladder_scan(point, Fraction(1, 2 * d), prec)
     # escalate precision exactly like exact_value so rounding reflects
     # truncation error, not floating noise
     cache, _, prec = _escalate(alpha, n, j_guaranteed, d, prec)

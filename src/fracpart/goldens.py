@@ -144,6 +144,14 @@ def _cell(table_id, row_key, column, printed, value) -> tuple:
 # per-table recomputation
 # ---------------------------------------------------------------------------
 
+def _m_term(alpha, n: int, m: int, p, prec: Precision) -> tuple:
+    """(m-term series value at n, its ratio to the oracle value p). A Fraction
+    p is rounded once by to_mpf; an int or an mpf divides as it is."""
+    with prec.ctx():
+        value = circle.partial_series(alpha, n, circle.m_term_delta(alpha, m, prec), prec).value
+        return value, value / (to_mpf(p) if isinstance(p, Fraction) else p)
+
+
 def compute_T1(prec: Precision = Precision(60, 10)) -> TableArtifact:
     """alpha = e, n = 1..10: oracle value, one-term series, their ratio."""
     golden = load_table("T1")
@@ -152,10 +160,8 @@ def compute_T1(prec: Precision = Precision(60, 10)) -> TableArtifact:
     rows, diffs = [], []
     for g in golden:
         n = int(g["n"])
-        with prec.ctx():
-            one = circle.partial_series(alpha, n, circle.m_term_delta(alpha, 1, prec), prec).value
-            p = table.values[n]
-            ratio = one / p
+        p = table.values[n]
+        one, ratio = _m_term(alpha, n, 1, p, prec)
         c1, d1 = _cell("T1", n, "p", g["p"], p)
         c2, d2 = _cell("T1", n, "one_term", g["one_term"], one)
         c3, d3 = _cell("T1", n, "ratio", g["ratio"], ratio)
@@ -172,9 +178,7 @@ def compute_T2(prec: Precision = Precision(60, 10)) -> TableArtifact:
     rows, diffs = [], []
     for g in golden:
         m = int(g["m"])
-        with prec.ctx():
-            approx = circle.partial_series(alpha, 50, circle.m_term_delta(alpha, m, prec), prec).value
-            ratio = approx / p50
+        approx, ratio = _m_term(alpha, 50, m, p50, prec)
         c1, d1 = _cell("T2", m, "approx", g["approx"], approx)
         c2, d2 = _cell("T2", m, "ratio", g["ratio"], ratio)
         rows.append((str(m), c1, c2))
@@ -198,9 +202,7 @@ def compute_T3(prec: Precision = Precision(60, 10)) -> TableArtifact:
         n = int(g["n"])
         out = [str(n)]
         for col, alpha, m in columns:
-            with prec.ctx():
-                approx = circle.partial_series(alpha, n, circle.m_term_delta(alpha, m, prec), prec).value
-                ratio = approx / tables[alpha].values[n]  # an int or an mpf
+            _, ratio = _m_term(alpha, n, m, tables[alpha].values[n], prec)
             c, d = _cell("T3", n, col, g[col], ratio)
             out.append(c)
             diffs.append(d)
@@ -217,19 +219,13 @@ def compute_T4(prec: Precision = Precision(60, 10)) -> TableArtifact:
         ("r_a1", parse_alpha("1")),
         ("r_a10", parse_alpha("10")),
     )
-    oracles = {}
-    for col, alpha in columns:
-        v = oracle.coeffs(alpha, 100, prec).values[100]
-        with prec.ctx():
-            oracles[col] = to_mpf(v)
+    oracles = {col: oracle.coeffs(alpha, 100, prec).values[100] for col, alpha in columns}
     rows, diffs = [], []
     for g in golden:
         m = int(g["m"])
         out = [str(m)]
         for col, alpha in columns:
-            with prec.ctx():
-                approx = circle.partial_series(alpha, 100, circle.m_term_delta(alpha, m, prec), prec).value
-                ratio = approx / oracles[col]
+            _, ratio = _m_term(alpha, 100, m, oracles[col], prec)
             c, d = _cell("T4", m, col, g[col], ratio)
             out.append(c)
             diffs.append(d)

@@ -101,22 +101,22 @@ def _source_get(values, idx: int):
 def default_values(alpha: AlphaValue, n: int, d: int, prec: Precision):
     """p_alpha(n..n+d) plus a certified error bound per value.
 
-    Rational alpha: exact rational recovery, error 0. Irrational alpha: the
-    100-term series truncation, error = its certified tail bound.
+    Integer alpha: exact rational recovery, error 0; its term count grows
+    polynomially in n. Other rational alpha: the exact oracle recurrence,
+    error 0, as recovery needs exponentially many terms in n when b > 1.
+    Irrational alpha: the 100-term series truncation, error = its certified
+    tail bound.
     """
-    vals, errs = [], []
-    if alpha.kind == "rational":
-        a, b = alpha.rational.numerator, alpha.rational.denominator
-        for j in range(d + 1):
-            vals.append(circle.exact_value(a, b, n + j))
-            errs.append(mp.mpf(0))
-    else:
+    a = alpha.rational
+    if a is None:
         delta = circle.m_term_delta(alpha, 100, prec)
-        for j in range(d + 1):
-            approx = circle.partial_series(alpha, n + j, delta, prec)
-            vals.append(approx.value)
-            errs.append(approx.tail_bound)
-    return vals, errs
+        approx = [circle.partial_series(alpha, n + j, delta, prec) for j in range(d + 1)]
+        return [x.value for x in approx], [x.tail_bound for x in approx]
+    if a.denominator > 1:
+        vals = list(oracle.coeffs(alpha, n + d, prec).values[n:])
+    else:
+        vals = [circle.exact_value(a.numerator, 1, n + j) for j in range(d + 1)]
+    return vals, [mp.mpf(0)] * (d + 1)
 
 
 def _window(alpha: AlphaValue, n: int, d: int, prec: Precision, values):
@@ -173,9 +173,9 @@ def renormalized_jensen(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISI
 
         delta^(i-d)/p(n) * sum_{j>=i} binom(d,j) p(n+j) e^(-Aj) binom(j,i) (-1)^(j-i).
 
-    values overrides the coefficient source (defaults to exact recovery for
-    rational alpha, the 100-term certified series for irrational alpha); it
-    may be any indexable source (sequence, dict, CoefficientTable).
+    values overrides the coefficient source (defaults to default_values: exact
+    values for rational alpha, the 100-term certified series for irrational
+    alpha); it may be any indexable source (sequence, dict, CoefficientTable).
     """
     alpha = as_alpha(alpha)
     if d < 1:

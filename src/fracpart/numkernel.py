@@ -1,8 +1,9 @@
 """Arbitrary-precision numeric kernel.
 
 Precision policy, exact<->float conversions, Gamma, the real-order modified
-Bessel function I_nu by its defining ascending series, and the parser for
-alpha expressions such as "51/7", "sqrt(3)", "1/e", "0.01".
+Bessel function I_nu by its defining ascending series, and the one-pass parser
+(one regex scan, one recursive descent) for alpha expressions such as "51/7",
+"sqrt(3)", "1/e", "0.01".
 
 All arithmetic is done with mpmath at an explicit working precision; every
 public operation takes a Precision and restores the global mpmath state on
@@ -11,6 +12,7 @@ exit (mp.workdps context), so callers never see precision leakage.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,17 +98,16 @@ def nearest_int(x: mp.mpf) -> int:
 # ---------------------------------------------------------------------------
 # alpha expressions
 # ---------------------------------------------------------------------------
-#
 # grammar:  expr := term (('*' | '/') term)*
 #           term := integer | decimal | 'e' | 'pi' | 'sqrt' '(' expr ')'
 # whitespace ignored; offsets reported against the utf-8 byte stream.
-#
-# There is no unary minus, so every parse is >= 0 and equals a product and
-# quotient of positive atoms and literals; the value is zero exactly when a
-# multiplied-in literal (possibly under sqrt) is zero. That makes both the
-# "nonpositive alpha" and "division by zero" checks exact and structural.
-
-_CONSTANTS = ("e", "pi")
+# nodes:    ("rat", Fraction) | ("const", "e"|"pi") | ("sqrt", node)
+#           | ("chain", first, (("*"|"/", node), ...))
+# With no unary minus, a value is zero exactly when a multiplied-in literal
+# (possibly under sqrt) is, so the zero checks are exact. Faults rank: scan,
+# syntax (parse order), trailing input, first division by zero (post-order),
+# zero alpha. A token: numeral, name, operator, or (group 2) a stray byte.
+_TOKEN = re.compile(rb"\s*(?:(\d+(?:\.\d*)?|[A-Za-z]+|[*/()])|(\S))")
 
 
 @dataclass(frozen=True)
@@ -147,164 +148,12 @@ def as_alpha(value) -> AlphaValue:
         return value
     if isinstance(value, str):
         return parse_alpha(value)
-    if isinstance(value, int):
-        frac = Fraction(value)
-    elif isinstance(value, Fraction):
-        frac = value
-    else:
+    if not isinstance(value, (int, Fraction)):
         raise DomainError("alpha must be AlphaValue, str, int or Fraction")
+    frac = Fraction(value)
     if frac <= 0:
         raise DomainError("alpha must be positive")
     return AlphaValue(text=str(frac), rational=frac)
-
-
-class _Tokenizer:
-    """Byte-offset-aware scanner for the alpha grammar."""
-
-    def __init__(self, text: str):
-        self.raw = text.encode("utf-8")
-        self.pos = 0
-        self.tokens = []  # (kind, payload, byte_offset)
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        raw, n = self.raw, len(self.raw)
-        i = 0
-        while i < n:
-            c = raw[i : i + 1]
-            if c.isspace():
-                i += 1
-                continue
-            start = i
-            if c in (b"*", b"/", b"(", b")"):
-                self.tokens.append((c.decode(), None, start))
-                i += 1
-            elif c.isdigit():
-                j = i
-                while j < n and raw[j : j + 1].isdigit():
-                    j += 1
-                if j < n and raw[j : j + 1] == b".":
-                    j += 1
-                    k = j
-                    while j < n and raw[j : j + 1].isdigit():
-                        j += 1
-                    if j == k:
-                        raise ParseError("decimal literal needs digits after '.'", j)
-                    self.tokens.append(("decimal", raw[i:j].decode(), start))
-                else:
-                    self.tokens.append(("integer", raw[i:j].decode(), start))
-                i = j
-            elif c.isalpha():
-                j = i
-                while j < n and raw[j : j + 1].isalpha():
-                    j += 1
-                word = raw[i:j].decode()
-                if word in _CONSTANTS:
-                    self.tokens.append(("const", word, start))
-                elif word == "sqrt":
-                    self.tokens.append(("sqrt", None, start))
-                else:
-                    raise ParseError("unknown name %r" % word, start)
-                i = j
-            else:
-                raise ParseError("unexpected character %r" % c.decode("utf-8", "replace"), start)
-        self.tokens.append(("end", None, n))
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def take(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-
-# AST nodes: ("rat", Fraction) | ("const", "e"|"pi") | ("sqrt", node)
-#          | ("chain", first, [("*"|"/", node), ...])
-
-def _parse_expr(tz: _Tokenizer):
-    first = _parse_term(tz)
-    ops = []
-    while tz.peek()[0] in ("*", "/"):
-        op, _, off = tz.take()
-        ops.append((op, _parse_term(tz), off))
-    if not ops:
-        return first
-    return ("chain", first, tuple(ops))
-
-
-def _parse_term(tz: _Tokenizer):
-    kind, payload, off = tz.take()
-    if kind == "integer":
-        return ("rat", Fraction(int(payload)))
-    if kind == "decimal":
-        whole, frac = payload.split(".")
-        den = 10 ** len(frac)
-        return ("rat", Fraction(int(whole) * den + int(frac), den))
-    if kind == "const":
-        return ("const", payload)
-    if kind == "sqrt":
-        k2, _, off2 = tz.take()
-        if k2 != "(":
-            raise ParseError("expected '(' after sqrt", off2)
-        inner = _parse_expr(tz)
-        k3, _, off3 = tz.take()
-        if k3 != ")":
-            raise ParseError("expected ')'", off3)
-        return ("sqrt", inner)
-    raise ParseError("expected a number, e, pi or sqrt(...)", off)
-
-
-def _node_is_zero(node) -> bool:
-    tag = node[0]
-    if tag == "rat":
-        return node[1] == 0
-    if tag == "const":
-        return False
-    if tag == "sqrt":
-        return _node_is_zero(node[1])
-    # chain: zero iff some multiplied-in factor is zero (divisors are
-    # checked separately and rejected before this question matters)
-    if _node_is_zero(node[1]):
-        return True
-    return any(op == "*" and _node_is_zero(term) for op, term, _ in node[2])
-
-
-def _check_divisors(node):
-    tag = node[0]
-    if tag == "sqrt":
-        _check_divisors(node[1])
-    elif tag == "chain":
-        _check_divisors(node[1])
-        for op, term, off in node[2]:
-            _check_divisors(term)
-            if op == "/" and _node_is_zero(term):
-                raise ParseError("division by zero", off)
-
-
-def _node_is_rational(node) -> bool:
-    tag = node[0]
-    if tag == "rat":
-        return True
-    if tag == "const":
-        return False
-    if tag == "sqrt":
-        return False
-    return _node_is_rational(node[1]) and all(
-        _node_is_rational(term) for _, term, _ in node[2]
-    )
-
-
-def _eval_rational(node) -> Fraction:
-    tag = node[0]
-    if tag == "rat":
-        return node[1]
-    acc = _eval_rational(node[1])
-    for op, term, _ in node[2]:
-        v = _eval_rational(term)
-        acc = acc * v if op == "*" else acc / v
-    return acc
 
 
 def _eval_ast(node) -> mp.mpf:
@@ -316,7 +165,7 @@ def _eval_ast(node) -> mp.mpf:
     if tag == "sqrt":
         return mp.sqrt(_eval_ast(node[1]))
     acc = _eval_ast(node[1])
-    for op, term, _ in node[2]:
+    for op, term in node[2]:
         v = _eval_ast(term)
         acc = acc * v if op == "*" else acc / v
     return acc
@@ -325,23 +174,66 @@ def _eval_ast(node) -> mp.mpf:
 def parse_alpha(text: str) -> AlphaValue:
     """Parse an alpha expression; exact-rational kind when no e/pi/sqrt occurs.
 
-    Decimal literals are exact rationals ("0.01" is 1/100). Raises ParseError
-    (with byte offset) for syntax faults and division by zero, DomainError
-    for a nonpositive value.
+    Decimal literals are exact ("0.01" is 1/100). Raises ParseError (with byte
+    offset) for syntax faults and division by zero, DomainError for zero.
     """
     if not isinstance(text, str):
         raise DomainError("alpha expression must be a string")
-    tz = _Tokenizer(text)
-    ast = _parse_expr(tz)
-    kind, _, off = tz.peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input", off)
-    _check_divisors(ast)
-    if _node_is_zero(ast):
+    raw = text.encode("utf-8")
+    tokens = []  # (token, byte offset): the whole input is scanned first
+    for m in _TOKEN.finditer(raw):
+        tok, off = m.group(1), m.start(1)
+        if tok is None:
+            raise ParseError("unexpected character %r" % m[2].decode("utf-8", "replace"), m.start(2))
+        if tok.endswith(b"."):
+            raise ParseError("decimal literal needs digits after '.'", m.end())
+        if tok.isalpha() and tok not in (b"e", b"pi", b"sqrt"):
+            raise ParseError("unknown name %r" % tok.decode(), off)
+        tokens.append((tok.decode(), off))
+    tokens = [("", len(raw))] + tokens[::-1]  # the parse pops from the end
+    zero_divisors = []  # offsets of each '/' before a zero term, in post-order
+
+    def expr():  # expr and term give (node, exact rational or None, is zero)
+        node, rat, zero = term()
+        ops = []
+        while tokens[-1][0] in ("*", "/"):
+            op, off = tokens.pop()
+            t_node, t_rat, t_zero = term()
+            ops.append((op, t_node))
+            if op == "*":
+                zero = zero or t_zero
+            elif t_zero:
+                zero_divisors.append(off)
+            exact = rat is not None and t_rat is not None and not (op == "/" and t_zero)
+            rat = (rat * t_rat if op == "*" else rat / t_rat) if exact else None
+        return (("chain", node, tuple(ops)) if ops else node), rat, zero
+
+    def term():
+        tok, off = tokens.pop()
+        if tok[:1].isdigit():
+            rat = Fraction(tok)  # a decimal string converts exactly
+            return ("rat", rat), rat, rat == 0
+        if tok in ("e", "pi"):
+            return ("const", tok), None, False
+        if tok != "sqrt":
+            raise ParseError("expected a number, e, pi or sqrt(...)", off)
+        tok, off = tokens.pop()
+        if tok != "(":
+            raise ParseError("expected '(' after sqrt", off)
+        node, _, zero = expr()
+        tok, off = tokens.pop()
+        if tok != ")":
+            raise ParseError("expected ')'", off)
+        return ("sqrt", node), None, zero
+
+    node, rat, zero = expr()
+    if tokens[-1][0]:
+        raise ParseError("unexpected trailing input", tokens[-1][1])
+    if zero_divisors:
+        raise ParseError("division by zero", zero_divisors[0])
+    if zero:
         raise DomainError("alpha must be positive, got zero from %r" % text)
-    if _node_is_rational(ast):
-        return AlphaValue(text=text, rational=_eval_rational(ast))
-    return AlphaValue(text=text, rational=None, _ast=ast)
+    return AlphaValue(text=text, rational=rat, _ast=None if rat is not None else node)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from fracpart.numkernel import (
     DomainError,
     Precision,
     as_alpha,
-    to_mpf,
 )
 
 # sigma sieve grown on demand; _SIGMA[j] = sum of divisors of j, _SIGMA[0] unused
@@ -94,46 +93,32 @@ class CoefficientTable:
 
 
 def coeffs(alpha, N: int, prec: Precision = DEFAULT_PRECISION) -> CoefficientTable:
-    """Exact/high-precision table of p_alpha(0..N) via the recurrence."""
+    """Exact/high-precision table of p_alpha(0..N) via the recurrence.
+
+    One loop serves every alpha; only p(0) and the step from n*p(n) to p(n)
+    differ: integer, Fraction or mpf arithmetic.
+    """
     alpha = as_alpha(alpha)
     if N < 0:
         raise DomainError("coeffs requires N >= 0")
     _grow_sigma(max(N, 1))
-    sig = _SIGMA
-
-    if alpha.kind == "rational":
-        a = alpha.rational
-        if a.denominator == 1:
-            # integer alpha: the recurrence closes over the integers
-            ai = a.numerator
-            vals = [1]
-            for n in range(1, N + 1):
-                acc = 0
-                for j in range(1, n + 1):
-                    acc += sig[j] * vals[n - j]
-                q, r = divmod(ai * acc, n)
-                if r:  # cannot happen: p_alpha(n) is an integer for integer alpha
-                    vals.append(Fraction(ai * acc, n))
-                else:
-                    vals.append(q)
-            return CoefficientTable(alpha, N, tuple(vals))
-        vals = [Fraction(1)]
-        for n in range(1, N + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                acc += sig[j] * vals[n - j]
-            vals.append(a * acc / n)
-        return CoefficientTable(alpha, N, tuple(vals))
-
+    sig, a = _SIGMA, alpha.rational
     # real alpha: 10 extra guard digits on top of work_dps for the O(N) roundings
     with prec.ctx(10):
-        av = alpha.value_at(prec)
-        vals = [mp.mpf(1)]
+        if a is None:
+            av = alpha.value_at(prec)
+            one, step = mp.mpf(1), lambda acc, n: av * acc / n
+        elif a.denominator == 1:
+            # integer alpha: the recurrence closes over the integers
+            one, step = 1, lambda acc, n: a.numerator * acc // n
+        else:
+            one, step = Fraction(1), lambda acc, n: a * acc / n
+        vals, zero = [one], one - one
         for n in range(1, N + 1):
-            acc = mp.mpf(0)
+            acc = zero
             for j in range(1, n + 1):
                 acc += sig[j] * vals[n - j]
-            vals.append(av * acc / n)
+            vals.append(step(acc, n))
     return CoefficientTable(alpha, N, tuple(vals))
 
 

@@ -1,8 +1,10 @@
 """Command-line surface, exit codes, serialization, and golden-table helpers."""
 
+import contextlib
 import io
 import json
 import os
+import time
 
 import mpmath as mp
 import pytest
@@ -155,6 +157,17 @@ def test_threshold_command():
     assert out.strip() == "threshold = 25"
 
 
+@pytest.mark.parametrize("alpha,n", [("51/7", 19), ("13/3", 11), ("5/2", 7), ("1/3", 20)])
+def test_jensen_non_integer_rational_alpha_answers_fast(alpha, n):
+    # these windows come from the oracle recurrence; exact recovery would
+    # need exponentially many terms in n
+    start = time.perf_counter()
+    code, out = run(["jensen", "--alpha", alpha, "--d", "2", "--n", str(n)])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_OK
+    assert out.startswith("raw = ")
+
+
 # ---------------------------------------------------------------------------
 # table command and exit codes
 # ---------------------------------------------------------------------------
@@ -182,6 +195,29 @@ def test_usage_errors_exit_one():
 def test_parse_error_exits_two():
     code, _ = run(["oracle", "--alpha", "1//2", "--n", "3"])
     assert code == cli.EXIT_DOMAIN
+
+
+# ---------------------------------------------------------------------------
+# recorded transcripts
+# ---------------------------------------------------------------------------
+
+with open(os.path.join(os.path.dirname(__file__), "cli_transcripts.json"), encoding="utf-8") as fh:
+    TRANSCRIPTS = json.load(fh)
+
+
+def test_cli_transcripts_replay(monkeypatch):
+    # stdout, stderr and exit code of fast commands, byte for byte
+    monkeypatch.delenv(cli.ENV_DIGITS, raising=False)
+    start = time.perf_counter()
+    changed = []
+    for record in TRANSCRIPTS:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(record["argv"])
+        if (code, out, err.getvalue()) != (record["exit"], record["stdout"], record["stderr"]):
+            changed.append(record["argv"])
+    assert not changed
+    assert time.perf_counter() - start < 5
 
 
 # ---------------------------------------------------------------------------

@@ -331,13 +331,22 @@ def test_build_report_raw_coefficients_at_working_precision():
     assert list(rep.raw.coefficients) == expected
 
 
+def test_default_values_non_integer_rational_reads_the_oracle():
+    # the window p_{51/7}(1..8) from the recurrence equals exact recovery
+    vals, errs = jensen.default_values(parse_alpha("51/7"), 1, 7, Precision())
+    assert vals == [circle.exact_value(51, 7, m) for m in range(1, 9)]
+    assert all(type(v) is Fraction for v in vals)
+    assert errs == [0] * 8
+
+
 def test_build_report_rejects_n_before_computing_values(monkeypatch):
-    # delta(n) is undefined at n = 9 for alpha = 51/7; exact recovery of
-    # p(9..11) would take seconds before that is noticed
+    # delta(n) is undefined at n = 9 for alpha = 51/7; no coefficient source
+    # may run before that is noticed
     def never(*args):
-        pytest.fail("exact_value called for an n that renorm_params rejects")
+        pytest.fail("coefficients computed for an n that renorm_params rejects")
 
     monkeypatch.setattr(circle, "exact_value", never)
+    monkeypatch.setattr(oracle, "coeffs", never)
     with pytest.raises(DomainError, match="radicand is nonpositive at n=9"):
         jensen.build_report(parse_alpha("51/7"), 2, 9)
 

@@ -129,6 +129,152 @@ def test_parse_rejects_structural_zero(text):
         parse_alpha(text)
 
 
+# One case per ParseError message, plus the ranking of faults: scan errors,
+# then syntax errors in parse order, then trailing input, then the first
+# division by zero in post-order. Recorded from the tokenizer-and-walkers
+# parser that the one-pass parser replaced.
+MALFORMED = [
+    ("1.x", "decimal literal needs digits after '.'", 2),
+    ("2*q", "unknown name 'q'", 2),
+    ("1 + 2", "unexpected character '+'", 2),
+    ("2/\u00e9", "unexpected character '\ufffd'", 2),
+    ("sqrt 2", "expected '(' after sqrt", 5),
+    ("sqrt(2", "expected ')'", 6),
+    ("2*", "expected a number, e, pi or sqrt(...)", 2),
+    ("", "expected a number, e, pi or sqrt(...)", 0),
+    ("2 3", "unexpected trailing input", 2),
+    ("(1/2)", "expected a number, e, pi or sqrt(...)", 0),
+    ("1/0", "division by zero", 1),
+    ("1/0)", "unexpected trailing input", 3),
+    ("sqrt( x", "unknown name 'x'", 6),
+    ("1/0 * (", "expected a number, e, pi or sqrt(...)", 6),
+    ("sqrt(1/0)/0", "division by zero", 6),
+    ("1/sqrt(0/0)", "division by zero", 8),
+    ("0/0", "division by zero", 1),
+    ("1//2", "expected a number, e, pi or sqrt(...)", 2),
+    ("2**3", "expected a number, e, pi or sqrt(...)", 2),
+    ("1.5.3", "unexpected character '.'", 3),
+    ("\t 7 \n/", "expected a number, e, pi or sqrt(...)", 6),
+    ("pi2", "unexpected trailing input", 2),
+    ("sqrtpi", "unknown name 'sqrtpi'", 0),
+]
+
+
+@pytest.mark.parametrize("text,message,offset", MALFORMED)
+def test_parse_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_alpha(text)
+    assert str(exc.value) == "%s (byte %d)" % (message, offset)
+    assert exc.value.offset == offset
+
+
+# Expression trees drawn from the grammar: an expr is a term or
+# ("chain", term, [(op, term), ...]); a term is a literal, a constant or
+# ("sqrt", expr).
+_NUMERALS = st.sampled_from(["0", "1", "2", "3", "7", "10", "51", "00", "0.0", "0.25",
+                             "0.01", "1.5", "3.000"])
+_LEAVES = st.one_of(_NUMERALS, st.sampled_from(["e", "pi"]))
+
+
+def _exprs(terms):
+    ops = st.lists(st.tuples(st.sampled_from("*/"), terms), min_size=1, max_size=3)
+    return st.one_of(terms, st.tuples(st.just("chain"), terms, ops))
+
+
+_TREES = st.one_of(_exprs(_NUMERALS), _exprs(st.recursive(
+    _LEAVES, lambda terms: st.tuples(st.just("sqrt"), _exprs(terms)), max_leaves=10)))
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "\r", "\x0b", "\x0c"])
+
+
+def _render(tree, draw_space, out, zero_divs):
+    """Append tree's text to out (with drawn whitespace around every token);
+    record the offset of each '/' before a zero term, in post-order."""
+    def emit(tok):
+        out.append(draw_space())
+        out.append(tok)
+
+    if isinstance(tree, str):
+        emit(tree)
+    elif tree[0] == "sqrt":
+        emit("sqrt")
+        emit("(")
+        _render(tree[1], draw_space, out, zero_divs)
+        emit(")")
+    else:
+        _render(tree[1], draw_space, out, zero_divs)
+        for op, term in tree[2]:
+            emit(op)
+            off = len("".join(out)) - 1
+            _render(term, draw_space, out, zero_divs)
+            if op == "/" and _is_zero(term):
+                zero_divs.append(off)
+
+
+def _is_zero(tree):
+    if isinstance(tree, str):
+        return tree not in ("e", "pi") and Fraction(tree) == 0
+    if tree[0] == "sqrt":
+        return _is_zero(tree[1])
+    return _is_zero(tree[1]) or any(op == "*" and _is_zero(t) for op, t in tree[2])
+
+
+def _exact(tree):
+    """Left-to-right Fraction value, None once e, pi or sqrt occurs."""
+    if isinstance(tree, str):
+        return None if tree in ("e", "pi") else Fraction(tree)
+    if tree[0] == "sqrt":
+        return None
+    acc = _exact(tree[1])
+    for op, term in tree[2]:
+        v = _exact(term)
+        if acc is None or v is None:
+            return None
+        acc = acc * v if op == "*" else acc / v
+    return acc
+
+
+def _real(tree):
+    """Left-to-right mpf value at the current precision."""
+    if isinstance(tree, str):
+        if tree in ("e", "pi"):
+            return mp.e if tree == "e" else mp.pi
+        f = Fraction(tree)
+        return mp.mpf(f.numerator) / f.denominator
+    if tree[0] == "sqrt":
+        return mp.sqrt(_real(tree[1]))
+    acc = _real(tree[1])
+    for op, term in tree[2]:
+        v = _real(term)
+        acc = acc * v if op == "*" else acc / v
+    return acc
+
+
+@settings(deadline=None, max_examples=300)
+@given(tree=_TREES, data=st.data(), digits=st.sampled_from([30, 60, 90]))
+def test_parse_matches_left_to_right_evaluation(tree, data, digits):
+    out, zero_divs = [], []
+    _render(tree, lambda: data.draw(_SPACE), out, zero_divs)
+    out.append(data.draw(_SPACE))
+    text = "".join(out)
+    if zero_divs:
+        with pytest.raises(ParseError) as exc:
+            parse_alpha(text)
+        assert str(exc.value) == "division by zero (byte %d)" % zero_divs[0]
+        return
+    if _is_zero(tree):
+        with pytest.raises(DomainError):
+            parse_alpha(text)
+        return
+    a = parse_alpha(text)
+    exact = _exact(tree)
+    assert a.kind == ("real" if exact is None else "rational")
+    assert a.rational == exact
+    prec = Precision(digits, 10)
+    with prec.ctx():
+        want = _real(tree) if exact is None else mp.mpf(exact.numerator) / exact.denominator
+    assert a.value_at(prec)._mpf_ == want._mpf_
+
+
 def test_value_at_precision_independence():
     # real-kind values agree across precisions to the coarser precision
     a = parse_alpha("sqrt(3)")

@@ -1,5 +1,6 @@
 """Coefficient oracle: divisor sums, the recurrence, denominators, P(x)^alpha."""
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -88,6 +89,38 @@ def test_positivity():
 def test_coeffs_rejects_negative_n():
     with pytest.raises(DomainError):
         oracle.coeffs(1, -1)
+
+
+# sha256 of [(type name, value or _mpf_ tuple)] over p(0..40), and the one
+# value type of each table; recorded from the three kind-specific loops that
+# the single recurrence replaced
+COEFF_PINS = {
+    ("e", 30): ("d664d735ae5ff765be351cb0dbcef5008e044d029c11e5ea3792c7d19fdd0615", "mpf"),
+    ("e", 60): ("9ccb3a9cfe6f12f85a7b0d0361db268e4d907c365e7713fb1db735986d72e535", "mpf"),
+    ("1/pi", 30): ("93c13d4a768b27ee30cbf25de3b6148b79eeeb8491a788cf98d51f514cdeca19", "mpf"),
+    ("1/pi", 60): ("a9afba35958521e573ab8f993f260e47aefbb739d18887c62b517f86fe9c3308", "mpf"),
+    ("51/7", 60): ("60869ae135aeecf8501c1bf092cae472fabe9608162bb0bf87498f7acc5e2b21", "Fraction"),
+    ("5", 60): ("7b9fba8bf9607903cfb56f5cf2cd803fc249e629fd161c6e3154e9135446f3de", "int"),
+}
+
+
+@pytest.mark.parametrize("alpha,digits", sorted(COEFF_PINS))
+def test_coeffs_bits_and_types_pinned(alpha, digits):
+    values = oracle.coeffs(alpha, 40, Precision(digits, 10)).values
+    rep = repr([(type(v).__name__, tuple(map(int, v._mpf_)) if isinstance(v, mp.mpf) else v)
+                for v in values])
+    digest, kind = COEFF_PINS[alpha, digits]
+    assert {type(v).__name__ for v in values} == {kind}
+    assert hashlib.sha256(rep.encode()).hexdigest() == digest
+
+
+def test_coeffs_real_value_pinned():
+    assert oracle.coeffs("e", 10).values[10]._mpf_ == (
+        0, 49510141296022499255328910704464298377549167150604647114992433999404455737492507,
+        -254, 265)
+    assert oracle.coeffs("1/pi", 10).values[10]._mpf_ == (
+        0, 263048354205412452776293292438412247248842883593344477526202967956860473928968031,
+        -266, 268)
 
 
 # ---------------------------------------------------------------------------
