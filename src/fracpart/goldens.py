@@ -1,4 +1,4 @@
-"""Reference tables T1..T6 and the harness that recomputes every cell.
+"""Reference tables T1..T6 and the one loop that recomputes every cell.
 
 Golden values live in tables/*.csv verbatim as printed in the reference
 tables, with one exception: 24 printed cells of T5 cannot come from the
@@ -6,13 +6,15 @@ table's definition (six rows break delta(n)^d * Jhat^{d,n}(1/delta(n)) = 1,
 which holds for any source), so they hold the values of an independent
 fixed-point divisor-sum recurrence, rounded to the printed decimals; the
 printed rows stay in comments in T5.csv.
-Recomputation uses only the library's public operations. A cell
-matches when |recomputed - printed| is at most one unit in the last printed
-digit of that cell (exact string equality for rationals and integers), which
-absorbs the reference's own rounding/truncation choices. Mismatches are
-returned as structured diffs, never silently dropped.
+Each table supplies only a generator that yields, per golden row, the row
+key and {column: recomputed value}, using the library's public operations.
+compute_table pairs it with the golden rows, takes the header from the CSV
+and diffs every cell. A cell matches when |recomputed - printed| is at most
+one unit in the last printed digit of that cell (exact string equality for
+rationals and integers), which absorbs the reference's own rounding and
+truncation choices. Mismatches are returned as structured diffs, never
+silently dropped.
 """
-
 from __future__ import annotations
 
 import csv
@@ -32,8 +34,6 @@ from fracpart.numkernel import (
     parse_alpha,
     to_mpf,
 )
-
-TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
 # published row counts for the artifact-level invariant (T5 groups d=2 and
 # d=3 per n into a single row)
@@ -141,7 +141,7 @@ def _cell(table_id, row_key, column, printed, value) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# per-table recomputation
+# per-table row generators and the recompute loop
 # ---------------------------------------------------------------------------
 
 def _m_term(alpha, n: int, m: int, p, prec: Precision) -> tuple:
@@ -152,144 +152,99 @@ def _m_term(alpha, n: int, m: int, p, prec: Precision) -> tuple:
         return value, value / (to_mpf(p) if isinstance(p, Fraction) else p)
 
 
-def compute_T1(prec: Precision = Precision(60, 10)) -> TableArtifact:
+def _t1(golden, prec):
     """alpha = e, n = 1..10: oracle value, one-term series, their ratio."""
-    golden = load_table("T1")
     alpha = parse_alpha("e")
     table = oracle.coeffs(alpha, 10, prec)
-    rows, diffs = [], []
     for g in golden:
         n = int(g["n"])
         p = table.values[n]
         one, ratio = _m_term(alpha, n, 1, p, prec)
-        c1, d1 = _cell("T1", n, "p", g["p"], p)
-        c2, d2 = _cell("T1", n, "one_term", g["one_term"], one)
-        c3, d3 = _cell("T1", n, "ratio", g["ratio"], ratio)
-        rows.append((str(n), c1, c2, c3))
-        diffs += [d1, d2, d3]
-    return TableArtifact("T1", ("n", "p", "one_term", "ratio"), tuple(rows), tuple(diffs))
+        yield n, {"p": p, "one_term": one, "ratio": ratio}
 
 
-def compute_T2(prec: Precision = Precision(60, 10)) -> TableArtifact:
+def _t2(golden, prec):
     """alpha = 1/e, n = 50, m = 1..10: m-term value and ratio to the oracle."""
-    golden = load_table("T2")
     alpha = parse_alpha("1/e")
     p50 = oracle.coeffs(alpha, 50, prec).values[50]
-    rows, diffs = [], []
     for g in golden:
         m = int(g["m"])
         approx, ratio = _m_term(alpha, 50, m, p50, prec)
-        c1, d1 = _cell("T2", m, "approx", g["approx"], approx)
-        c2, d2 = _cell("T2", m, "ratio", g["ratio"], ratio)
-        rows.append((str(m), c1, c2))
-        diffs += [d1, d2]
-    return TableArtifact("T2", ("m", "approx", "ratio"), tuple(rows), tuple(diffs))
+        yield m, {"approx": approx, "ratio": ratio}
 
 
-def compute_T3(prec: Precision = Precision(60, 10)) -> TableArtifact:
+def _t3(golden, prec):
     """alpha in {1/pi, 5}, n = 1..14, m in {1, 5}: ratios to the oracle."""
-    golden = load_table("T3")
     inv_pi, five = parse_alpha("1/pi"), parse_alpha("5")
-    columns = (
-        ("r_1pi_m1", inv_pi, 1),
-        ("r_1pi_m5", inv_pi, 5),
-        ("r_5_m1", five, 1),
-        ("r_5_m5", five, 5),
-    )
+    columns = {"r_1pi_m1": (inv_pi, 1), "r_1pi_m5": (inv_pi, 5),
+               "r_5_m1": (five, 1), "r_5_m5": (five, 5)}
     tables = {alpha: oracle.coeffs(alpha, 14, prec) for alpha in (inv_pi, five)}
-    rows, diffs = [], []
     for g in golden:
         n = int(g["n"])
-        out = [str(n)]
-        for col, alpha, m in columns:
-            _, ratio = _m_term(alpha, n, m, tables[alpha].values[n], prec)
-            c, d = _cell("T3", n, col, g[col], ratio)
-            out.append(c)
-            diffs.append(d)
-        rows.append(tuple(out))
-    return TableArtifact("T3", ("n",) + tuple(c[0] for c in columns), tuple(rows), tuple(diffs))
+        yield n, {col: _m_term(alpha, n, m, tables[alpha].values[n], prec)[1]
+                  for col, (alpha, m) in columns.items()}
 
 
-def compute_T4(prec: Precision = Precision(60, 10)) -> TableArtifact:
+def _t4(golden, prec):
     """n = 100, alpha in {0.01, 0.1, 1, 10}, m = 1..10: ratios to the oracle."""
-    golden = load_table("T4")
-    columns = (
-        ("r_a001", parse_alpha("0.01")),
-        ("r_a01", parse_alpha("0.1")),
-        ("r_a1", parse_alpha("1")),
-        ("r_a10", parse_alpha("10")),
-    )
-    oracles = {col: oracle.coeffs(alpha, 100, prec).values[100] for col, alpha in columns}
-    rows, diffs = [], []
+    columns = {"r_a001": "0.01", "r_a01": "0.1", "r_a1": "1", "r_a10": "10"}
+    alphas = {col: parse_alpha(text) for col, text in columns.items()}
+    oracles = {col: oracle.coeffs(alpha, 100, prec).values[100] for col, alpha in alphas.items()}
     for g in golden:
         m = int(g["m"])
-        out = [str(m)]
-        for col, alpha in columns:
-            _, ratio = _m_term(alpha, 100, m, oracles[col], prec)
-            c, d = _cell("T4", m, col, g[col], ratio)
-            out.append(c)
-            diffs.append(d)
-        rows.append(tuple(out))
-    return TableArtifact("T4", ("m",) + tuple(c[0] for c in columns), tuple(rows), tuple(diffs))
+        yield m, {col: _m_term(alpha, 100, m, oracles[col], prec)[1]
+                  for col, alpha in alphas.items()}
 
 
-def compute_T5(prec: Precision = Precision(90, 10)) -> TableArtifact:
+def _t5(golden, prec):
     """alpha = sqrt(3), d in {2, 3}, n in {10000..50000}: renormalized
-    Jensen coefficients from the 100-term certified series source."""
-    golden = load_table("T5")
+    Jensen coefficients from the 100-term certified series source, fetched
+    once per n for both degrees."""
     alpha = parse_alpha("sqrt(3)")
-    by_n = {}
+    source = {}
     for g in golden:
-        by_n.setdefault(int(g["n"]), {})[int(g["d"])] = g
-    rows, diffs = [], []
-    for n in sorted(by_n):
-        vals, _ = jensen.default_values(alpha, n, 3, prec)
-        source = {n + j: vals[j] for j in range(4)}
-        rendered = {}
-        for d in (2, 3):
-            g = by_n[n][d]
-            poly = jensen.renormalized_jensen(alpha, d, n, prec, values=source)
-            parts = []
-            for i in range(d + 1):
-                printed = g["c%d" % i]
-                c, diff = _cell("T5", "%d/d=%d" % (n, d), "c%d" % i, printed, poly.coefficients[i])
-                parts.append(c)
-                diffs.append(diff)
-            rendered[d] = "[" + ", ".join(parts) + "]"
-        rows.append((str(n), rendered[2], rendered[3]))
-    return TableArtifact(
-        "T5", ("n", "Jhat2 (c0,c1,c2)", "Jhat3 (c0,c1,c2,c3)"), tuple(rows), tuple(diffs)
-    )
+        n, d = int(g["n"]), int(g["d"])
+        if n not in source:
+            vals, _ = jensen.default_values(alpha, n, 3, prec)
+            source.update(zip(range(n, n + 4), vals))
+        poly = jensen.renormalized_jensen(alpha, d, n, prec, values=source)
+        yield "%d/d=%d" % (n, d), {"c%d" % i: c for i, c in enumerate(poly.coefficients)}
 
 
-def compute_T6(prec: Precision = Precision(60, 10)) -> TableArtifact:
+def _t6(golden, prec):
     """alpha = 51/7, n = 1..10: exact rational, guaranteed and stable counts."""
-    golden = load_table("T6")
-    rows, diffs = [], []
     for g in golden:
         n = int(g["n"])
-        p = circle.exact_value(51, 7, n)
-        m_guar = circle.guaranteed_terms(51, 7, n)
-        m_star = circle.empirical_min_terms(51, 7, n)
-        c1, d1 = _cell("T6", n, "p", g["p"], p)
-        c2, d2 = _cell("T6", n, "M", g["M"], m_guar)
-        c3, d3 = _cell("T6", n, "Mstar", g["Mstar"], m_star)
-        rows.append((str(n), c1, c2, c3))
-        diffs += [d1, d2, d3]
-    return TableArtifact("T6", ("n", "p", "M", "Mstar"), tuple(rows), tuple(diffs))
+        yield n, {"p": circle.exact_value(51, 7, n),
+                  "M": circle.guaranteed_terms(51, 7, n),
+                  "Mstar": circle.empirical_min_terms(51, 7, n)}
 
 
-_COMPUTE = {
-    "T1": compute_T1,
-    "T2": compute_T2,
-    "T3": compute_T3,
-    "T4": compute_T4,
-    "T5": compute_T5,
-    "T6": compute_T6,
-}
+# table id -> (row generator, working decimal digits)
+_TABLES = {"T1": (_t1, 60), "T2": (_t2, 60), "T3": (_t3, 60),
+           "T4": (_t4, 60), "T5": (_t5, 90), "T6": (_t6, 60)}
+TABLE_IDS = tuple(_TABLES)
 
 
 def compute_table(table_id: str) -> TableArtifact:
-    if table_id not in _COMPUTE:
+    """Recompute every golden cell of a table and diff it against the print."""
+    if table_id not in _TABLES:
         raise DomainError("unknown table id %r (expected T1..T6)" % table_id)
-    return _COMPUTE[table_id]()
+    generate, digits = _TABLES[table_id]
+    golden = load_table(table_id)
+    rows, diffs = [], []
+    for g, (key, values) in zip(golden, generate(golden, Precision(digits, 10)), strict=True):
+        row = [str(key)]
+        for column, value in values.items():
+            rendered, diff = _cell(table_id, key, column, g[column], value)
+            row.append(rendered)
+            diffs.append(diff)
+        rows.append(tuple(row))
+    header = tuple(golden[0])
+    if table_id == "T5":  # as printed: [c0, c1, c2] and [c0, .., c3] side by side per n
+        by_n = {}
+        for key, *cells in rows:
+            by_n.setdefault(key.split("/")[0], []).append("[" + ", ".join(cells) + "]")
+        header = ("n", "Jhat2 (c0,c1,c2)", "Jhat3 (c0,c1,c2,c3)")
+        rows = [(n, *per_d) for n, per_d in by_n.items()]
+    return TableArtifact(table_id, header, tuple(rows), tuple(diffs))

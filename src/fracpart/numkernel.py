@@ -53,10 +53,6 @@ class Precision:
         """mpmath context manager running at work_dps + extra digits."""
         return mp.workdps(self.work_dps + extra)
 
-    def eps(self) -> mp.mpf:
-        """10^(-decimal_digits), the per-operation relative error target."""
-        return mp.mpf(10) ** (-self.decimal_digits)
-
 
 DEFAULT_PRECISION = Precision()
 
@@ -108,6 +104,9 @@ def nearest_int(x: mp.mpf) -> int:
 # syntax (parse order), trailing input, first division by zero (post-order),
 # zero alpha. A token: numeral, name, operator, or (group 2) a stray byte.
 _TOKEN = re.compile(rb"\s*(?:(\d+(?:\.\d*)?|[A-Za-z]+|[*/()])|(\S))")
+# The descent recurses twice per sqrt level; deeper input is a ParseError at
+# the offending sqrt instead of a RecursionError (which starts near 490 levels).
+MAX_SQRT_NESTING = 300
 
 
 @dataclass(frozen=True)
@@ -193,12 +192,14 @@ def parse_alpha(text: str) -> AlphaValue:
     tokens = [("", len(raw))] + tokens[::-1]  # the parse pops from the end
     zero_divisors = []  # offsets of each '/' before a zero term, in post-order
 
-    def expr():  # expr and term give (node, exact rational or None, is zero)
-        node, rat, zero = term()
+    # expr and term give (node, exact rational or None, is zero); depth counts
+    # the sqrt levels open around them
+    def expr(depth):
+        node, rat, zero = term(depth)
         ops = []
         while tokens[-1][0] in ("*", "/"):
             op, off = tokens.pop()
-            t_node, t_rat, t_zero = term()
+            t_node, t_rat, t_zero = term(depth)
             ops.append((op, t_node))
             if op == "*":
                 zero = zero or t_zero
@@ -208,7 +209,7 @@ def parse_alpha(text: str) -> AlphaValue:
             rat = (rat * t_rat if op == "*" else rat / t_rat) if exact else None
         return (("chain", node, tuple(ops)) if ops else node), rat, zero
 
-    def term():
+    def term(depth):
         tok, off = tokens.pop()
         if tok[:1].isdigit():
             rat = Fraction(tok)  # a decimal string converts exactly
@@ -217,16 +218,18 @@ def parse_alpha(text: str) -> AlphaValue:
             return ("const", tok), None, False
         if tok != "sqrt":
             raise ParseError("expected a number, e, pi or sqrt(...)", off)
+        if depth == MAX_SQRT_NESTING:
+            raise ParseError("sqrt(...) nested too deeply", off)
         tok, off = tokens.pop()
         if tok != "(":
             raise ParseError("expected '(' after sqrt", off)
-        node, _, zero = expr()
+        node, _, zero = expr(depth + 1)
         tok, off = tokens.pop()
         if tok != ")":
             raise ParseError("expected ')'", off)
         return ("sqrt", node), None, zero
 
-    node, rat, zero = expr()
+    node, rat, zero = expr(0)
     if tokens[-1][0]:
         raise ParseError("unexpected trailing input", tokens[-1][1])
     if zero_divisors:

@@ -63,10 +63,6 @@ class CoefficientTable:
     upto: int
     values: tuple
 
-    @property
-    def exact(self) -> bool:
-        return self.alpha.kind == "rational"
-
     def __getitem__(self, n: int):
         return self.values[n]
 

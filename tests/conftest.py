@@ -18,6 +18,7 @@ Sturm chain. The library's single-chain verdict must agree with it.
 """
 
 from fractions import Fraction
+from hashlib import sha256
 from math import gcd, isqrt
 from operator import mul
 
@@ -101,6 +102,50 @@ def t5_identity_residual(row, alpha, prec):
         allowed = sum(mp.mpf(10) ** -len(c.split(".")[1]) / 2 * dl ** (d - i)
                       for i, c in enumerate(printed))
     return resid, allowed
+
+
+# sha256 of formatted(), of diff_report() and of the sorted (row, column,
+# printed, recomputed, ok) diffs of each table artifact, recorded from the
+# per-table compute functions that the single recompute loop replaced
+TABLE_DIGESTS = {
+    "T1": (
+        "0e9b81b4f43c9e25bcf4ea2f854ff41519b94f521e7cc8be9e219652cc9bb53d",
+        "cdb1970231a94da772d1173d11118214eebfc0456482b4a87a7ef4a49f7e20c6",
+        "8ca4a692e5233e0438b4e73fc96e5fc9f756afda74b6e7c567c42e5f33737478",
+    ),
+    "T2": (
+        "8a313fe1798a1f06d5b42439350263cbc941b463fb0bda6d244da6d1c5095da6",
+        "89a3c3c93a3af3392b91be267c74e3a32182bad22af868810219823effc26d7f",
+        "71ba3685025ef63b12b545f613b26543f04d2f55cf8a25e238c9867056006d3e",
+    ),
+    "T3": (
+        "7d66baf56d3927d83a710b3bbe47e0877016a8ecb120f60facde90c20a768b2a",
+        "6dd9040acda6cb7e700c027ddb5385a2a4b08d254b0f2a3cdd54c61550e25166",
+        "ebc8aae690cbfe686e6ad04fbbe6b093c482b0a93eed38c6ac11197da47a788c",
+    ),
+    "T4": (
+        "588f10398fe7e929ca4d6352dc4bf19d0ad200d0dae8a53e59647a3a01763b69",
+        "d6141d0351f1f810d9bbc0f282bdbcc68e3cab21a5b0aed801552729e4514728",
+        "31d23696d5a498a52996b04e3b3aa71270cc6597617053c68fc2d3b7c2a3a088",
+    ),
+    "T5": (
+        "23cdde38febf31063f62c3b0b27eaafb92a91f6d85f67b72d83a8cb2422ce9f8",
+        "32eaadef4ab1860376b1185c4cc78cb497a55b81eb00c2aef76b92f43a0691b8",
+        "b9b7c78917f21f07189353f0e64997b0989c19bd03e1204dcca081cd06b71ee3",
+    ),
+    "T6": (
+        "fbb106ec0a5e9aa3e72b638b8c093e869c12f5073e123b6e8a038bb52716c12f",
+        "cb53f88d842c0d6097601c4da788ddaff98c86ffa62f2f364e11c33943a7471e",
+        "6ee45ea82d881b33962f5103b162c88a6843f40348753a95aca28473d912d58f",
+    ),
+}
+
+
+def artifact_digests(art):
+    """The three digests TABLE_DIGESTS pins, for a goldens.TableArtifact."""
+    cells = sorted((d.row, d.column, d.printed, d.recomputed, d.ok) for d in art.diffs)
+    return tuple(sha256(text.encode()).hexdigest()
+                 for text in (art.formatted(), art.diff_report(), repr(cells)))
 
 
 def reference_kloosterman(alpha, n, m, k, prec):

@@ -11,8 +11,8 @@ file's value, the recurrence value rounded at the cell's decimals, and the
 recurrence value at 15 digits. Each golden row is also checked against the
 identity delta(n)^d * Jhat^{d,n}(1/delta(n)) = 1, which holds for any source.
 Last, it compares the recurrence with the 100-term series source that
-goldens.compute_T5 uses. The recurrence takes several minutes: about 50000^2/2
-big-integer products.
+goldens.compute_table("T5") uses. The recurrence takes several minutes: about
+50000^2/2 big-integer products.
 """
 
 import time
@@ -26,7 +26,7 @@ from fracpart.numkernel import Precision, parse_alpha
 
 FRAC_BITS = 700
 PREC = Precision(120, 10)
-SERIES_PREC = Precision(90, 10)   # the precision of goldens.compute_T5
+SERIES_PREC = Precision(90, 10)   # the precision of goldens.compute_table("T5")
 
 
 def main():

@@ -12,7 +12,7 @@ from math import exp, gcd, pi
 
 import mpmath as mp
 import pytest
-from conftest import t5_identity_residual
+from conftest import TABLE_DIGESTS, artifact_digests, t5_identity_residual
 
 from fracpart import circle, goldens, jensen, oracle
 from fracpart.numkernel import Precision, bessel_i, parse_alpha, to_mpf
@@ -63,6 +63,7 @@ def test_criterion_2_exact_recovery_table(criterion):
     assert all(d.ok for d in mstar_cells), "empirical term counts must match"
     assert not off_column, "deviations must be localized to the M column"
     assert elapsed < 120
+    assert artifact_digests(art) == TABLE_DIGESTS["T6"]
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +74,22 @@ def test_criterion_3_ratio_tables(criterion):
     t0 = time.perf_counter()
     bad = []
     total = 0
+    digests = {}
     for tid in ("T1", "T2", "T3", "T4"):
         art = goldens.compute_table(tid)
         total += len(art.diffs)
         bad.extend(art.mismatches)
+        digests[tid] = artifact_digests(art)
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 300
     criterion(3, "tables of ratios and approximants within one printed ulp", ok,
               "%d/%d cells ok, %.1fs" % (total - len(bad), total, elapsed))
     for d in bad:
-        print("  %s row %d col %s: printed %s, recomputed %s"
+        print("  %s row %s col %s: printed %s, recomputed %s"
               % (d.table_id, d.row, d.column, d.printed, d.recomputed))
     assert not bad
     assert elapsed < 300
+    assert digests == {tid: TABLE_DIGESTS[tid] for tid in digests}
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,7 @@ def test_criterion_5_renormalized_jensen_table(sqrt3_fixed_point, criterion):
             "a source that matches the fixed-point recurrence to 1e-75; "
             "tests/t5_reference.py recomputes every cell independently"
             % len(art.mismatches), pytrace=False)
+    assert artifact_digests(art) == TABLE_DIGESTS["T5"]
 
 
 # ---------------------------------------------------------------------------

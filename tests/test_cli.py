@@ -8,6 +8,7 @@ import time
 
 import mpmath as mp
 import pytest
+from conftest import TABLE_DIGESTS, artifact_digests
 
 from fracpart import cli, goldens
 
@@ -195,6 +196,8 @@ def test_usage_errors_exit_one():
 def test_parse_error_exits_two():
     code, _ = run(["oracle", "--alpha", "1//2", "--n", "3"])
     assert code == cli.EXIT_DOMAIN
+    code, _ = run(["oracle", "--alpha", "sqrt(" * 600 + "2" + ")" * 600, "--n", "1"])
+    assert code == cli.EXIT_DOMAIN
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +283,4 @@ def test_table_two_recomputation_is_clean():
     art = goldens.compute_table("T2")
     assert not art.mismatches
     assert len(art.diffs) == 20
+    assert artifact_digests(art) == TABLE_DIGESTS["T2"]

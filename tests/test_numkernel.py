@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import reference_bessel_i
 from fracpart.numkernel import (
     DEFAULT_PRECISION,
+    MAX_SQRT_NESTING,
     AlphaValue,
     DomainError,
     ParseError,
@@ -49,11 +50,6 @@ def test_precision_context_sets_dps():
         assert mp.mp.dps == 55
     with prec.ctx(extra=5):
         assert mp.mp.dps == 60
-
-
-def test_precision_eps():
-    prec = Precision(decimal_digits=40, guard_digits=10)
-    assert prec.eps() == mp.mpf(10) ** (-40)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +153,9 @@ MALFORMED = [
     ("\t 7 \n/", "expected a number, e, pi or sqrt(...)", 6),
     ("pi2", "unexpected trailing input", 2),
     ("sqrtpi", "unknown name 'sqrtpi'", 0),
+    # one sqrt past the limit: the fault is at the first sqrt too many
+    pytest.param("sqrt(" * (MAX_SQRT_NESTING + 1) + "2" + ")" * (MAX_SQRT_NESTING + 1),
+                 "sqrt(...) nested too deeply", 5 * MAX_SQRT_NESTING, id="sqrt-nested-too-deeply"),
 ]
 
 
@@ -166,6 +165,12 @@ def test_parse_error_messages_and_offsets(text, message, offset):
         parse_alpha(text)
     assert str(exc.value) == "%s (byte %d)" % (message, offset)
     assert exc.value.offset == offset
+
+
+def test_parse_accepts_sqrt_nested_to_the_limit():
+    a = parse_alpha("sqrt(" * MAX_SQRT_NESTING + "4" + ")" * MAX_SQRT_NESTING)
+    assert a.kind == "real"
+    assert mp.almosteq(a.value_at(), 1)
 
 
 # Expression trees drawn from the grammar: an expr is a term or
