@@ -182,16 +182,6 @@ def _alpha_floor24(alpha: AlphaValue, prec: Precision) -> int:
         return int(mp.floor(alpha.value_at(prec) / 24))
 
 
-def _require_n_in_range(alpha: AlphaValue, n: int, prec: Precision):
-    if alpha.kind == "rational":
-        if Fraction(n) <= alpha.rational / 24:
-            raise DomainError("require n > alpha/24")
-    else:
-        with prec.ctx():
-            if n <= alpha.value_at(prec) / 24:
-                raise DomainError("require n > alpha/24")
-
-
 def _geometry(alpha: AlphaValue, prec: Precision) -> dict:
     """The fields of CirclePoint that do not depend on n."""
     q = _alpha_floor24(alpha, prec)
@@ -206,9 +196,11 @@ def _geometry(alpha: AlphaValue, prec: Precision) -> dict:
 
 
 def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePoint:
-    """Assemble the series geometry at (alpha, n): nu plus the n-free fields."""
+    """Assemble the series geometry at (alpha, n): nu plus the n-free fields.
+    nu is real for n > alpha/24, i.e. n > q, checked before the oracle runs."""
     alpha = as_alpha(alpha)
-    _require_n_in_range(alpha, n, prec)
+    if n <= _alpha_floor24(alpha, prec):
+        raise DomainError("require n > alpha/24")
     geometry = _geometry(alpha, prec)
     with prec.ctx():
         nu = mp.sqrt(n - geometry["av"] / 24)
@@ -447,11 +439,9 @@ def asymptotic(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> Asymptotic
                       (identical to the one-term series truncation when q=0),
     elementary_form = sqrt(12/alpha) exp((alpha pi / 6) lambda) / lambda^((alpha+3)/2).
     """
-    alpha = as_alpha(alpha)
-    _require_n_in_range(alpha, n, prec)
+    point = circle_point(alpha, n, prec)
+    av, order = point.av, point.order
     with prec.ctx():
-        av = alpha.value_at(prec)
-        order = av / 2 + 1
         lam = mp.sqrt(24 * n / av - 1)
         bessel_form = 2 * mp.pi * bessel_i(order, (mp.pi * av / 6) * lam, prec) / lam ** order
         elementary_form = (
@@ -464,16 +454,6 @@ def asymptotic(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> Asymptotic
 # exact rational recovery
 # ---------------------------------------------------------------------------
 
-def _rational_alpha(a: int, b: int) -> AlphaValue:
-    if b < 1:
-        raise DomainError("b must be a positive integer")
-    if gcd(a, b) != 1:
-        raise DomainError("require gcd(a, b) = 1")
-    if a <= 0:
-        raise DomainError("alpha must be positive")
-    return as_alpha(Fraction(a, b))
-
-
 def recovery_delta(a: int, b: int, n: int, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     """Closed-form certificate delta for exact recovery, clamped into range:
 
@@ -482,8 +462,8 @@ def recovery_delta(a: int, b: int, n: int, prec: Precision = DEFAULT_PRECISION) 
     At this delta the second-form tail bound equals 1/(2D) exactly, so any
     smaller delta certifies correct rounding of D * p_alpha(n; delta).
     """
-    point = circle_point(_rational_alpha(a, b), n, prec)
     d = oracle.denominator(a, b, n)
+    point = circle_point(as_alpha(Fraction(a, b)), n, prec)
     with prec.ctx():
         x = 2 * mp.pi * point.mus[0] * point.nu
         delta = (x ** point.order / (2 * d * point.c * bessel_i(point.order, 2 * x, prec))) ** (2 / point.av)
@@ -491,17 +471,12 @@ def recovery_delta(a: int, b: int, n: int, prec: Precision = DEFAULT_PRECISION) 
         return min(delta, cap)
 
 
-def _recovery_precision(d: int) -> Precision:
-    return Precision(decimal_digits=max(60, len(str(d)) + 20), guard_digits=10)
-
-
 def _recovery_setup(a: int, b: int, n: int):
     """(alpha, D, starting precision, cached series point) for recovering
-    p_{a/b}(n); the precision is _recovery_precision(D)."""
-    alpha = _rational_alpha(a, b)
-    _require_n_in_range(alpha, n, DEFAULT_PRECISION)
+    p_{a/b}(n); the precision is max(60, digits(D) + 20) digits."""
     d = oracle.denominator(a, b, n)
-    prec = _recovery_precision(d)
+    alpha = as_alpha(Fraction(a, b))
+    prec = Precision(decimal_digits=max(60, len(str(d)) + 20), guard_digits=10)
     return alpha, d, prec, _term_cache(alpha, n, prec).point
 
 
@@ -558,11 +533,11 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
     Policy: D = denominator(a, b, n); evaluation point is the coarsest ladder
     delta_j = 2 pi mu0/(j+1) whose first-form tail bound is < 1/(4D); working
     precision starts at max(60, digits(D) + 20) and doubles until the rounding
-    noise estimate (term count x 10^-digits x max term magnitude) is < 1/(4D),
-    so tail + noise < 1/(2D) and nearest-integer rounding is certified. The
-    closed-form delta (see recovery_delta) also certifies recovery but implies
-    astronomically many terms; the ladder delta satisfies the same inequality
-    with the sharper first bound form.
+    noise estimate (term count x 10^-digits x max term magnitude) is < 1/(4D).
+    The tail bound is proved but the noise is an estimate, not a bound, so the
+    rounding is only as safe as that estimate. The closed-form delta (see
+    recovery_delta) also meets the tail condition but implies astronomically
+    many terms; the ladder delta meets it with the sharper first bound form.
     """
     alpha, d, prec, point = _recovery_setup(a, b, n)
     j = _ladder_scan(point, Fraction(1, 4 * d), prec)
@@ -631,7 +606,7 @@ def functional_equation_residual(alpha, h: int, k: int, z, K: int,
     (every exponentiated quantity here has positive real part, where the
     principal branch and the stated branch convention agree). The
     transformation law forces the residual to the size of the two
-    product-truncation tails.
+    product-truncation tails; eval_P_alpha rejects |x| or |x'| >= 0.999.
     """
     alpha = as_alpha(alpha)
     _check_coprime_pair(h, k)
@@ -645,9 +620,6 @@ def functional_equation_residual(alpha, h: int, k: int, z, K: int,
         two_pi_over_k = 2 * mp.pi / k
         x = mp.exp(two_pi_over_k * (mp.mpc(0, h) - zv / k))
         xp = mp.exp(two_pi_over_k * (mp.mpc(0, big_h) - k / zv))
-        for name, val in (("x", x), ("x'", xp)):
-            if abs(val) >= mp.mpf("0.999"):
-                raise DomainError("|%s| too close to 1 for product evaluation" % name)
         lhs = oracle.eval_P_alpha(x, alpha, K, prec)
         prefactor = (
             mp.exp(mp.mpc(0, mp.pi * av * s_hk))

@@ -198,16 +198,12 @@ def _t4(golden, prec):
 
 def _t5(golden, prec):
     """alpha = sqrt(3), d in {2, 3}, n in {10000..50000}: renormalized
-    Jensen coefficients from the 100-term certified series source, fetched
-    once per n for both degrees."""
+    Jensen coefficients from the 100-term certified series source; the term
+    cache serves p(n..n+2) to both degrees."""
     alpha = parse_alpha("sqrt(3)")
-    source = {}
     for g in golden:
         n, d = int(g["n"]), int(g["d"])
-        if n not in source:
-            vals, _ = jensen.default_values(alpha, n, 3, prec)
-            source.update(zip(range(n, n + 4), vals))
-        poly = jensen.renormalized_jensen(alpha, d, n, prec, values=source)
+        poly = jensen.renormalized_jensen(alpha, d, n, prec)
         yield "%d/d=%d" % (n, d), {"c%d" % i: c for i, c in enumerate(poly.coefficients)}
 
 

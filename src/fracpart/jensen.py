@@ -319,6 +319,14 @@ def _tolerance(raw: Polynomial, errs, prec: Precision):
                + [scale * mp.mpf(10) ** (10 - prec.decimal_digits)])
 
 
+def _verdict(alpha: AlphaValue, raw: Polynomial, errs, prec: Precision) -> bool:
+    """Exact Sturm verdict for rational alpha, numeric mode at _tolerance
+    otherwise. Call inside prec.ctx()."""
+    if alpha.kind == "rational":
+        return is_hyperbolic(raw, mode="exact")
+    return is_hyperbolic(raw, mode="numeric", tolerance=_tolerance(raw, errs, prec))
+
+
 def hyperbolicity_threshold(alpha, d: int, horizon: int,
                             prec: Precision = DEFAULT_PRECISION, values=None):
     """Smallest n0 <= horizon with J^{d,n} hyperbolic for every n in [n0, horizon].
@@ -335,17 +343,10 @@ def hyperbolicity_threshold(alpha, d: int, horizon: int,
         raise DomainError("horizon must exceed d")
     if values is None:
         values = oracle.coeffs(alpha, horizon + d, prec)
-    exact = alpha.kind == "rational"
     last_fail = None
     with prec.ctx():
         for n in range(0, horizon + 1):
-            poly = jensen_poly(values, d, n)
-            if exact:
-                ok = is_hyperbolic(poly, mode="exact")
-            else:
-                tol = _tolerance(poly, (), prec)
-                ok = is_hyperbolic(poly, mode="numeric", tolerance=tol)
-            if not ok:
+            if not _verdict(alpha, jensen_poly(values, d, n), (), prec):
                 last_fail = n
     if last_fail is None:
         return 0
@@ -402,10 +403,7 @@ def build_report(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISION,
     renorm = _renormalize(params, d, vals, prec)
     with prec.ctx():
         raw = jensen_poly(vals, d, 0)  # the window starts at index 0
-        if alpha.kind == "rational":
-            verdict = is_hyperbolic(raw, mode="exact")
-        else:
-            verdict = is_hyperbolic(raw, mode="numeric", tolerance=_tolerance(raw, errs, prec))
+        verdict = _verdict(alpha, raw, errs, prec)
         pairs = zip_longest(renorm.coefficients, hermite(d).coefficients, fillvalue=0)
         dist = max(abs(to_mpf(a) - to_mpf(b)) for a, b in pairs)
     return JensenReport(

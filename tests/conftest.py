@@ -17,6 +17,7 @@ gcd(p, p') first, then count the real roots of the squarefree part with a
 Sturm chain. The library's single-chain verdict must agree with it.
 """
 
+import time
 from fractions import Fraction
 from hashlib import sha256
 from math import gcd, isqrt
@@ -291,6 +292,17 @@ def coeff_cache():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def t6_artifact():
+    """(goldens.compute_table("T6"), seconds it took), computed once per
+    session: criterion 2 and the CLI table test read the same artifact."""
+    from fracpart import goldens
+
+    t0 = time.perf_counter()
+    art = goldens.compute_table("T6")
+    return art, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")

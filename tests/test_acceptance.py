@@ -40,10 +40,8 @@ def test_criterion_1_classical_coefficients(classical_p, criterion):
 # 2. exact rational recovery and term counts
 # ---------------------------------------------------------------------------
 
-def test_criterion_2_exact_recovery_table(criterion):
-    t0 = time.perf_counter()
-    art = goldens.compute_table("T6")
-    elapsed = time.perf_counter() - t0
+def test_criterion_2_exact_recovery_table(criterion, t6_artifact):
+    art, elapsed = t6_artifact
 
     value_cells = [d for d in art.diffs if d.column == "p"]
     mstar_cells = [d for d in art.diffs if d.column == "Mstar"]

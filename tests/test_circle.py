@@ -405,6 +405,12 @@ def test_tail_constant_and_recovery_delta_bits_pinned():
         assert circle.tail_constant(parse_alpha(alpha_text))._mpf_ == bits
     assert circle.recovery_delta(51, 7, 10)._mpf_ == (
         0, 56520956936864789251904068025861066991927724406244848650592539625958629, -247, 236)
+    # asymptotic reads alpha and its order from the same series geometry
+    est = circle.asymptotic(parse_alpha("e"), 10)
+    assert est.bessel_form._mpf_ == (
+        0, 92153162984600456493244107211698465340053918682855435627868919559010773, -225, 236)
+    assert est.elementary_form._mpf_ == (
+        0, 28347622218430195610959527451498861751605460916655065879462937595615901, -223, 235)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +482,17 @@ def test_exact_value_classical_regression(n, classical_p):
 
 
 def test_exact_value_rejects_bad_input():
-    with pytest.raises(DomainError):
-        circle.exact_value(6, 4, 3)  # gcd != 1
-    with pytest.raises(DomainError):
-        circle.exact_value(51, 7, 0)  # n <= alpha/24
+    bad = [
+        (6, 4, 3),    # gcd != 1
+        (51, 7, 0),   # n <= alpha/24
+        (0, 1, 3),    # alpha = 0
+        (-5, 1, 3),   # alpha < 0
+        (1, 0, 3),    # b = 0
+    ]
+    for routine in (circle.exact_value, circle.recovery_delta):
+        for a, b, n in bad:
+            with pytest.raises(DomainError):
+                routine(a, b, n)
 
 
 def test_exact_value_reports_infeasible_cases():
@@ -542,3 +555,6 @@ def test_residual_rejects_large_modulus():
     # tiny Re z pushes |x| = exp(-2 pi Re z / k^2) past the cutoff
     with pytest.raises(DomainError):
         circle.functional_equation_residual(1, 0, 1, mp.mpf("0.0001"), 200)
+    # large z pushes |x'| = exp(-2 pi Re(1/z)) past it instead
+    with pytest.raises(DomainError):
+        circle.functional_equation_residual(1, 0, 1, mp.mpf(10000), 200)

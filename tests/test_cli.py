@@ -179,7 +179,9 @@ def test_table_match_exits_zero():
     assert "all 20 compared cells within one printed ulp" in out
 
 
-def test_table_mismatch_exits_three_and_localizes():
+def test_table_mismatch_exits_three_and_localizes(monkeypatch, t6_artifact):
+    # the command renders the T6 recompute that criterion 2 also checks
+    monkeypatch.setattr(goldens, "compute_table", {"T6": t6_artifact[0]}.__getitem__)
     code, out = run(["table", "T6"])
     assert code == cli.EXIT_GOLDEN
     diff_lines = [ln for ln in out.splitlines() if "printed" in ln and "recomputed" in ln]
