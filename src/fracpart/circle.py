@@ -24,7 +24,6 @@ give bit-identical results.
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -326,29 +325,10 @@ class SeriesApproximation:
     delta: mp.mpf
     terms_per_m: tuple
     tail_bound: mp.mpf       # certified |p_alpha(n) - value|
-    precision_used: Precision
-
-    @property
-    def total_terms(self) -> int:
-        return sum(self.terms_per_m)
-
-    def to_json(self, digits: int | None = None) -> str:
-        d = digits or self.precision_used.decimal_digits
-        return json.dumps(
-            {
-                "alpha": str(self.alpha),
-                "n": self.n,
-                "delta": mp.nstr(self.delta, d),
-                "value": mp.nstr(self.value, d),
-                "tail_bound": mp.nstr(self.tail_bound, 10),
-                "terms": list(self.terms_per_m),
-                "precision": self.precision_used.decimal_digits,
-            }
-        )
 
 
 def _delta_range_check(delta, mu0):
-    if delta <= 0:
+    if not delta > 0:  # NaN fails here too
         raise DomainError("delta must be positive")
     if delta >= 2 * mp.pi * mu0:
         raise DomainError("delta must be below 2*pi*mu(0)")
@@ -383,7 +363,6 @@ def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) ->
             delta=dv,
             terms_per_m=counts,
             tail_bound=_first_form_bound(point, dv, prec),
-            precision_used=prec,
         )
 
 
@@ -476,7 +455,7 @@ def _recovery_setup(a: int, b: int, n: int):
     p_{a/b}(n); the precision is max(60, digits(D) + 20) digits."""
     d = oracle.denominator(a, b, n)
     alpha = as_alpha(Fraction(a, b))
-    prec = Precision(decimal_digits=max(60, len(str(d)) + 20), guard_digits=10)
+    prec = Precision(decimal_digits=max(60, len(str(d)) + 20))
     return alpha, d, prec, _term_cache(alpha, n, prec).point
 
 
@@ -524,7 +503,7 @@ def _escalate(alpha: AlphaValue, n: int, j: int, d: int, prec: Precision):
             noise = sum(counts) * mp.mpf(10) ** (-prec.decimal_digits) * max(cache.max_abs, abs(value))
             if noise < to_mpf(Fraction(1, 4 * d)):
                 return cache, value, prec
-        prec = Precision(decimal_digits=prec.decimal_digits * 2, guard_digits=10)
+        prec = Precision(decimal_digits=prec.decimal_digits * 2)
 
 
 def exact_value(a: int, b: int, n: int) -> Fraction:

@@ -1,8 +1,10 @@
 """Command-line surface.
 
-Subcommands: oracle, series, exact, jensen, table. Exit codes: 0 success,
-1 usage error, 2 domain/arithmetic error, 3 golden-table mismatch. Output is
-deterministic for a fixed command line and FRACPART_DIGITS setting.
+Subcommands: oracle, series, exact, jensen, table, threshold. Exit codes:
+0 success, 1 usage error, 2 domain/arithmetic error, 3 golden-table mismatch.
+Output is deterministic for a fixed command line and FRACPART_DIGITS setting.
+This module renders every result: --format json or csv where the command has
+that form, plain text otherwise.
 """
 
 from __future__ import annotations
@@ -50,10 +52,12 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("oracle", help="exact/high-precision p_alpha(0..N)")
+    sp.set_defaults(run=_cmd_oracle)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--n", type=int, required=True)
 
     sp = sub.add_parser("series", help="truncated series p_alpha(n; delta) with tail bound")
+    sp.set_defaults(run=_cmd_series)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--n", type=int, required=True)
     g = sp.add_mutually_exclusive_group(required=True)
@@ -61,20 +65,24 @@ def _build_parser() -> _Parser:
     g.add_argument("--delta", help="explicit truncation parameter")
 
     sp = sub.add_parser("exact", help="exact rational p_alpha(n) for rational alpha")
+    sp.set_defaults(run=_cmd_exact)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--report-terms", action="store_true",
                     help="also print guaranteed (M) and stable (M*) term counts")
 
     sp = sub.add_parser("jensen", help="Jensen polynomial report at (alpha, d, n)")
+    sp.set_defaults(run=_cmd_jensen)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
 
     sp = sub.add_parser("table", help="recompute a reference table and diff it")
+    sp.set_defaults(run=_cmd_table)
     sp.add_argument("table_id", choices=goldens.TABLE_IDS)
 
     sp = sub.add_parser("threshold", help="empirical hyperbolicity threshold scan")
+    sp.set_defaults(run=_cmd_threshold)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--horizon", type=int, required=True)
@@ -89,144 +97,135 @@ def _precision(args) -> Precision:
     return Precision(decimal_digits=digits)
 
 
-def _cmd_oracle(args, out) -> int:
+# Each _cmd_* formats every number once and returns (exit code, plain text,
+# JSON document or None, CSV text or None); main picks one of the three.
+
+def _ratio(v: Fraction) -> str:
+    return "%d/%d" % (v.numerator, v.denominator)
+
+
+def _coef(c) -> str:
+    """A Jensen coefficient as Polynomial.render writes it, to 15 digits."""
+    return str(c) if isinstance(c, (int, Fraction)) else mp.nstr(mp.mpf(c), 15)
+
+
+def _csv(rows, end: str = "\n") -> str:
+    return "".join(",".join(str(v) for v in row) + end for row in rows)
+
+
+def _cmd_oracle(args):
     prec = _precision(args)
     table = oracle.coeffs(parse_alpha(args.alpha), args.n, prec)
-    if args.format == "json":
-        out.write(table.to_json(prec.decimal_digits) + "\n")
-    elif args.format == "csv":
-        table.write_csv(out, prec.decimal_digits)
-    else:
-        for n in range(args.n + 1):
-            out.write(table.value_str(n, prec.decimal_digits) + "\n")
-    return EXIT_OK
+    # a Fraction as a/b, an integer or mpf through mp.nstr
+    values = [_ratio(v) if isinstance(v, Fraction) else mp.nstr(v, prec.decimal_digits)
+              for v in table.values]
+    doc = {"alpha": str(table.alpha), "upto": table.upto, "values": values}
+    # \r\n line ends: this CSV was first written by csv.writer
+    csv_text = _csv([("n", "value"), *enumerate(values)], end="\r\n")
+    return EXIT_OK, "".join(v + "\n" for v in values), doc, csv_text
 
 
-def _cmd_series(args, out) -> int:
+def _cmd_series(args):
     prec = _precision(args)
     alpha = parse_alpha(args.alpha)
     if args.terms is not None:
-        delta = circle.m_term_delta(alpha, args.terms, prec)
+        dv = circle.m_term_delta(alpha, args.terms, prec)
     else:
         with prec.ctx():
-            delta = mp.mpf(args.delta)
-    approx = circle.partial_series(alpha, args.n, delta, prec)
-    if args.format == "json":
-        out.write(approx.to_json(prec.decimal_digits) + "\n")
-    elif args.format == "csv":
-        out.write("value,delta,tail_bound,terms,precision\n")
-        out.write("%s,%s,%s,%d,%d\n" % (
-            mp.nstr(approx.value, prec.decimal_digits),
-            mp.nstr(approx.delta, prec.decimal_digits),
-            mp.nstr(approx.tail_bound, 10),
-            approx.total_terms,
-            prec.decimal_digits,
-        ))
-    else:
-        out.write("value = %s\n" % mp.nstr(approx.value, prec.decimal_digits))
-        out.write("delta = %s\n" % mp.nstr(approx.delta, prec.decimal_digits))
-        out.write("tail_bound = %s\n" % mp.nstr(approx.tail_bound, 10))
-        out.write("terms_per_m = %s (total %d)\n" % (list(approx.terms_per_m), approx.total_terms))
-        out.write("precision = %d\n" % prec.decimal_digits)
-    return EXIT_OK
+            dv = mp.mpf(args.delta)
+    approx = circle.partial_series(alpha, args.n, dv, prec)
+    digits, terms = prec.decimal_digits, list(approx.terms_per_m)
+    total = sum(terms)
+    value = mp.nstr(approx.value, digits)
+    delta = mp.nstr(approx.delta, digits)
+    tail = mp.nstr(approx.tail_bound, 10)
+    text = ("value = %s\ndelta = %s\ntail_bound = %s\nterms_per_m = %s (total %d)\n"
+            "precision = %d\n" % (value, delta, tail, terms, total, digits))
+    doc = {"alpha": str(approx.alpha), "n": approx.n, "delta": delta, "value": value,
+           "tail_bound": tail, "terms": terms, "precision": digits}
+    csv_text = _csv([("value", "delta", "tail_bound", "terms", "precision"),
+                     (value, delta, tail, total, digits)])
+    return EXIT_OK, text, doc, csv_text
 
 
-def _cmd_exact(args, out) -> int:
+def _cmd_exact(args):
     alpha = parse_alpha(args.alpha)
     if alpha.kind != "rational":
         raise DomainError("exact requires a rational alpha, got %r" % args.alpha)
     a = alpha.rational
-    value = circle.exact_value(a.numerator, a.denominator, args.n)
     record = {"alpha": str(alpha), "n": args.n,
-              "value": "%d/%d" % (value.numerator, value.denominator)}
+              "value": _ratio(circle.exact_value(a.numerator, a.denominator, args.n))}
+    text = "p = %s\n" % record["value"]
     if args.report_terms:
         record["M"] = circle.guaranteed_terms(a.numerator, a.denominator, args.n)
         record["Mstar"] = circle.empirical_min_terms(a.numerator, a.denominator, args.n)
-    if args.format == "json":
-        out.write(json.dumps(record) + "\n")
-    elif args.format == "csv":
-        out.write(",".join(record.keys()) + "\n")
-        out.write(",".join(str(v) for v in record.values()) + "\n")
-    else:
-        out.write("p = %s\n" % record["value"])
-        if args.report_terms:
-            out.write("M = %d\nM* = %d\n" % (record["M"], record["Mstar"]))
-    return EXIT_OK
+        text += "M = %d\nM* = %d\n" % (record["M"], record["Mstar"])
+    return EXIT_OK, text, record, _csv([record.keys(), record.values()])
 
 
-def _cmd_jensen(args, out) -> int:
+def _cmd_jensen(args):
     prec = _precision(args)
     alpha = parse_alpha(args.alpha)
     try:
         report = jensen.build_report(alpha, args.d, args.n, prec)
     except jensen.IndeterminateVerdict as exc:
-        out.write("hyperbolic = indeterminate (%s)\n" % exc)
-        return EXIT_OK
-    if args.format == "json":
-        out.write(report.to_json() + "\n")
-    elif args.format == "csv":
-        out.write("n,d,hyperbolic,gap_to_hermite\n")
-        out.write("%d,%d,%s,%s\n" % (
-            args.n, args.d, str(report.hyperbolic).lower(),
-            mp.nstr(report.hermite_distance, 10)))
-    else:
-        out.write("raw = %s\n" % report.raw.render(digits=10))
-        out.write("renormalized = %s\n" % report.renormalized.render(digits=10))
-        out.write("hyperbolic = %s\n" % str(report.hyperbolic).lower())
-        out.write("hermite_distance = %s\n" % mp.nstr(report.hermite_distance, 10))
-    return EXIT_OK
+        return EXIT_OK, "hyperbolic = indeterminate (%s)\n" % exc, None, None
+    verdict = str(report.hyperbolic).lower()
+    dist = mp.nstr(report.hermite_distance, 10)
+    text = "raw = %s\nrenormalized = %s\nhyperbolic = %s\nhermite_distance = %s\n" % (
+        report.raw.render(digits=10), report.renormalized.render(digits=10), verdict, dist)
+    doc = {"alpha": str(report.alpha), "d": report.d, "n": report.n,
+           "raw": [_coef(c) for c in report.raw.coefficients],
+           "renormalized": [_coef(c) for c in report.renormalized.coefficients],
+           "hyperbolic": report.hyperbolic, "hermite_distance": dist}
+    csv_text = _csv([("n", "d", "hyperbolic", "gap_to_hermite"),
+                     (report.n, report.d, verdict, dist)])
+    return EXIT_OK, text, doc, csv_text
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_table(args):
     artifact = goldens.compute_table(args.table_id)
-    if args.format == "json":
-        out.write(json.dumps({
-            "table_id": artifact.table_id,
-            "header": list(artifact.header),
-            "rows": [list(r) for r in artifact.rows],
-            "mismatches": [
-                {"row": d.row, "column": d.column, "printed": d.printed,
-                 "recomputed": d.recomputed}
-                for d in artifact.mismatches
-            ],
-        }) + "\n")
-    else:
-        out.write(artifact.formatted() + "\n")
-        out.write(artifact.diff_report() + "\n")
-    return EXIT_GOLDEN if artifact.mismatches else EXIT_OK
+    doc = {
+        "table_id": artifact.table_id,
+        "header": list(artifact.header),
+        "rows": [list(r) for r in artifact.rows],
+        "mismatches": [
+            {"row": d.row, "column": d.column, "printed": d.printed,
+             "recomputed": d.recomputed}
+            for d in artifact.mismatches
+        ],
+    }
+    code = EXIT_GOLDEN if artifact.mismatches else EXIT_OK
+    return code, artifact.formatted() + "\n" + artifact.diff_report() + "\n", doc, None
 
 
-def _cmd_threshold(args, out) -> int:
+def _cmd_threshold(args):
     prec = _precision(args)
     alpha = parse_alpha(args.alpha)
     n0 = jensen.hyperbolicity_threshold(alpha, args.d, args.horizon, prec)
-    out.write("threshold = %s\n" % ("none" if n0 is None else n0))
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "oracle": _cmd_oracle,
-    "series": _cmd_series,
-    "exact": _cmd_exact,
-    "jensen": _cmd_jensen,
-    "table": _cmd_table,
-    "threshold": _cmd_threshold,
-}
+    return EXIT_OK, "threshold = %s\n" % ("none" if n0 is None else n0), None, None
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args, out)
+        code, text, doc, csv_text = args.run(args)
     except (DomainError, ParseError, ArithmeticError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_DOMAIN
+    # the one format choice: JSON or CSV where the command has that form
+    if args.format == "json" and doc is not None:
+        out.write(json.dumps(doc) + "\n")
+    elif args.format == "csv" and csv_text is not None:
+        out.write(csv_text)
+    else:
+        out.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -229,7 +229,7 @@ def compute_table(table_id: str) -> TableArtifact:
     generate, digits = _TABLES[table_id]
     golden = load_table(table_id)
     rows, diffs = [], []
-    for g, (key, values) in zip(golden, generate(golden, Precision(digits, 10)), strict=True):
+    for g, (key, values) in zip(golden, generate(golden, Precision(digits)), strict=True):
         row = [str(key)]
         for column, value in values.items():
             rendered, diff = _cell(table_id, key, column, g[column], value)

@@ -19,7 +19,6 @@ answer when the verdict is not stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -368,24 +367,6 @@ class JensenReport:
     renormalized: Polynomial
     hyperbolic: bool
     hermite_distance: mp.mpf
-
-    def to_json(self, digits: int = 15) -> str:
-        def cstr(c):
-            if isinstance(c, (int, Fraction)):
-                return str(c)
-            return mp.nstr(mp.mpf(c), digits)
-
-        return json.dumps(
-            {
-                "alpha": str(self.alpha),
-                "d": self.d,
-                "n": self.n,
-                "raw": [cstr(c) for c in self.raw.coefficients],
-                "renormalized": [cstr(c) for c in self.renormalized.coefficients],
-                "hyperbolic": self.hyperbolic,
-                "hermite_distance": mp.nstr(self.hermite_distance, 10),
-            }
-        )
 
 
 def build_report(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISION,

@@ -32,22 +32,22 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+GUARD_DIGITS = 10
+
+
 @dataclass(frozen=True)
 class Precision:
-    """Working precision: decimal_digits visible, guard_digits carried extra."""
+    """Working precision: decimal_digits visible, GUARD_DIGITS carried extra."""
 
     decimal_digits: int = 60
-    guard_digits: int = 10
 
     def __post_init__(self):
         if self.decimal_digits < 30:
             raise DomainError("decimal_digits must be >= 30")
-        if self.guard_digits < 10:
-            raise DomainError("guard_digits must be >= 10")
 
     @property
     def work_dps(self) -> int:
-        return self.decimal_digits + self.guard_digits
+        return self.decimal_digits + GUARD_DIGITS
 
     def ctx(self, extra: int = 0):
         """mpmath context manager running at work_dps + extra digits."""
@@ -253,19 +253,21 @@ def gamma(x, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
 
 
 def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
-    """Modified Bessel I_nu(z), nu > 0, z >= 0, by the defining series.
+    """Modified Bessel I_nu(z), finite nu > 0 and z >= 0, by the defining series.
 
     I_nu(z) = sum_{k>=0} (z/2)^(nu+2k) / (k! Gamma(nu+k+1)), summed until the
-    current term drops below 10^(-decimal_digits-guard_digits) times the
-    partial sum. Terms are positive and their ratio r = (z/2)^2/((k+1)(nu+k+1))
-    falls with k, so the tail is at most r/(1-r) times the last term: that
-    bound is below the threshold only if r < 1/2 at the stop, which is not
-    checked, so the relative error is an estimate. At the default precision
-    r = 0.53 at z = 2500, where the tail bound is 1.12 thresholds.
+    current term drops below 10^(-work_dps) times the partial sum. Terms are
+    positive and their ratio r = (z/2)^2/((k+1)(nu+k+1)) falls with k, so the
+    tail is at most r/(1-r) times the last term: that bound is below the
+    threshold only if r < 1/2 at the stop, which is not checked, so the
+    relative error is an estimate. At the default precision r = 0.53 at
+    z = 2500, where the tail bound is 1.12 thresholds.
     """
     with prec.ctx(5):
         nuv = to_mpf(nu)
         zv = to_mpf(z)
+        if not (mp.isfinite(nuv) and mp.isfinite(zv)):
+            raise DomainError("bessel_i requires finite nu and z")
         if nuv <= 0:
             raise DomainError("bessel_i requires nu > 0")
         if zv < 0:
@@ -276,7 +278,7 @@ def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
         term = half ** nuv / mp.gamma(nuv + 1)
         total = term
         ratio_num = half * half
-        cutoff = mp.mpf(10) ** (-(prec.decimal_digits + prec.guard_digits))
+        cutoff = mp.mpf(10) ** -prec.work_dps
         # The loop runs on raw _mpf_ tuples to skip mpf object overhead; it
         # makes the libmp calls mpf's operators would, in the same order, at
         # the same precision and rounding, so the result is bit-identical.

@@ -13,8 +13,6 @@ the recurrence accumulates O(N) roundings.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -57,7 +55,7 @@ def sigma(j: int) -> int:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """p_alpha(0..upto); values are Fraction (rational alpha) or mpf."""
+    """p_alpha(0..upto): int (integer alpha), Fraction or mpf values."""
 
     alpha: AlphaValue
     upto: int
@@ -65,27 +63,6 @@ class CoefficientTable:
 
     def __getitem__(self, n: int):
         return self.values[n]
-
-    def value_str(self, n: int, digits: int = 30) -> str:
-        v = self.values[n]
-        if isinstance(v, Fraction):
-            return "%d/%d" % (v.numerator, v.denominator)
-        return mp.nstr(v, digits)
-
-    def to_json(self, digits: int = 30) -> str:
-        return json.dumps(
-            {
-                "alpha": str(self.alpha),
-                "upto": self.upto,
-                "values": [self.value_str(n, digits) for n in range(self.upto + 1)],
-            }
-        )
-
-    def write_csv(self, stream, digits: int = 30):
-        w = csv.writer(stream)
-        w.writerow(["n", "value"])
-        for n in range(self.upto + 1):
-            w.writerow([n, self.value_str(n, digits)])
 
 
 def coeffs(alpha, N: int, prec: Precision = DEFAULT_PRECISION) -> CoefficientTable:

@@ -189,7 +189,7 @@ def reference_bessel_i(nu, z, prec):
         term = half ** nuv / mp.gamma(nuv + 1)
         total = term
         ratio_num = half * half
-        cutoff = mp.mpf(10) ** (-(prec.decimal_digits + prec.guard_digits))
+        cutoff = mp.mpf(10) ** -prec.work_dps
         k = 0
         while True:
             k += 1

@@ -25,8 +25,8 @@ from fracpart import goldens, jensen
 from fracpart.numkernel import Precision, parse_alpha
 
 FRAC_BITS = 700
-PREC = Precision(120, 10)
-SERIES_PREC = Precision(90, 10)   # the precision of goldens.compute_table("T5")
+PREC = Precision(120)
+SERIES_PREC = Precision(90)   # the precision of goldens.compute_table("T5")
 
 
 def main():

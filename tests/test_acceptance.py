@@ -17,7 +17,7 @@ from conftest import TABLE_DIGESTS, artifact_digests, t5_identity_residual
 from fracpart import circle, goldens, jensen, oracle
 from fracpart.numkernel import Precision, bessel_i, parse_alpha, to_mpf
 
-PREC = Precision(60, 10)
+PREC = Precision(60)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def _t5_inconsistent_rows(a, prec):
 def test_criterion_5_renormalized_jensen_table(sqrt3_fixed_point, criterion):
     t0 = time.perf_counter()
     a = parse_alpha("sqrt(3)")
-    p90 = Precision(90, 10)
+    p90 = Precision(90)
     inconsistent = _t5_inconsistent_rows(a, p90)
     art = goldens.compute_table("T5")
 

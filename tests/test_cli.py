@@ -1,4 +1,4 @@
-"""Command-line surface, exit codes, serialization, and golden-table helpers."""
+"""Command-line surface, exit codes, output formats, and golden-table helpers."""
 
 import contextlib
 import io
@@ -56,6 +56,17 @@ def test_oracle_json():
     assert doc["values"] == ["1/1", "51/7", "1836/49", "52751/343"]
 
 
+def test_oracle_real_digit_count():
+    # --digits sets the significant digits of a real value; p_e(3) = e(e+1)(e+8)/6
+    code, out = run(["--digits", "30", "oracle", "--alpha", "e", "--n", "3"])
+    assert code == cli.EXIT_OK
+    last = out.splitlines()[-1]
+    assert len(last.replace(".", "").lstrip("0")) <= 30
+    with mp.workdps(40):
+        want = mp.e * (mp.e + 1) * (mp.e + 8) / 6
+        assert abs(mp.mpf(last) - want) < want * mp.mpf(10) ** -29
+
+
 def test_oracle_csv():
     code, out = run(["--format", "csv", "oracle", "--alpha", "1", "--n", "10"])
     assert code == cli.EXIT_OK
@@ -89,6 +100,18 @@ def test_series_json_round_trip():
     assert abs(float(doc["value"]) - 472294.9971) < 0.001
 
 
+def test_series_json_fields():
+    code, out = run(["--format", "json", "series", "--alpha", "51/7", "--n", "10",
+                     "--terms", "5"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert set(doc) == {"alpha", "n", "delta", "value", "tail_bound", "terms", "precision"}
+    assert doc["alpha"] == "51/7"
+    assert doc["n"] == 10
+    assert doc["terms"] == [5]
+    assert doc["precision"] == 60
+
+
 def test_series_env_digits():
     code, out = run(["--format", "json", "series", "--alpha", "5", "--n", "14",
                      "--terms", "3"], env={"FRACPART_DIGITS": "40"})
@@ -101,6 +124,13 @@ def test_series_digits_flag_overrides_env():
                      "--n", "14", "--terms", "3"], env={"FRACPART_DIGITS": "40"})
     assert code == cli.EXIT_OK
     assert json.loads(out)["precision"] == 45
+
+
+def test_series_nan_delta_exits_two():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(["series", "--alpha", "5", "--n", "14", "--delta", "nan"])
+    assert (code, out, err.getvalue()) == (cli.EXIT_DOMAIN, "", "error: delta must be positive\n")
 
 
 def test_series_deterministic():
@@ -150,6 +180,18 @@ def test_jensen_csv_header():
     lines = out.strip().splitlines()
     assert lines[0] == "n,d,hyperbolic,gap_to_hermite"
     assert lines[1].startswith("5,1,true,")
+
+
+def test_jensen_json_fields():
+    code, out = run(["--format", "json", "jensen", "--alpha", "1", "--d", "2", "--n", "30"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert set(doc) == {"alpha", "d", "n", "raw", "renormalized", "hyperbolic",
+                        "hermite_distance"}
+    assert doc["alpha"] == "1"
+    assert doc["hyperbolic"] is True
+    # exact coefficients print as str(Fraction): no "/1" on integers
+    assert doc["raw"] == ["5604", "13684", "8349"]
 
 
 def test_threshold_command():

@@ -245,14 +245,14 @@ def test_renorm_params_decay():
 
 def test_renormalized_jensen_degree_preserved():
     a = parse_alpha("sqrt(3)")
-    prec = Precision(60, 10)
+    prec = Precision(60)
     for d in (2, 3):
         assert jensen.renormalized_jensen(a, d, 1000, prec).degree == d
 
 
 def test_renormalized_jensen_frozen_values():
     a = parse_alpha("sqrt(3)")
-    prec = Precision(90, 10)
+    prec = Precision(90)
     p2 = jensen.renormalized_jensen(a, 2, 20000, prec)
     want2 = ("-2.00861401158", "0.0495971787117", "0.999981277596")
     for got, want in zip(p2.coefficients, want2):
@@ -265,7 +265,7 @@ def test_renormalized_jensen_frozen_values():
 
 def test_renormalized_jensen_approaches_hermite():
     a = parse_alpha("sqrt(3)")
-    prec = Precision(90, 10)
+    prec = Precision(90)
     for d in (2, 3):
         h = jensen.hermite(d)
         dists = []
@@ -322,7 +322,7 @@ def test_build_report_real_alpha():
 
 
 def test_build_report_raw_coefficients_at_working_precision():
-    prec = Precision(60, 10)
+    prec = Precision(60)
     a = parse_alpha("sqrt(3)")
     rep = jensen.build_report(a, 3, 200, prec)
     vals, _ = jensen.default_values(a, 200, 3, prec)
@@ -349,14 +349,3 @@ def test_build_report_rejects_n_before_computing_values(monkeypatch):
     monkeypatch.setattr(oracle, "coeffs", never)
     with pytest.raises(DomainError, match="radicand is nonpositive at n=9"):
         jensen.build_report(parse_alpha("51/7"), 2, 9)
-
-
-def test_report_json_fields():
-    import json
-
-    rep = jensen.build_report(parse_alpha("1"), 2, 30)
-    doc = json.loads(rep.to_json())
-    assert set(doc) == {"alpha", "d", "n", "raw", "renormalized", "hyperbolic",
-                        "hermite_distance"}
-    assert doc["alpha"] == "1"
-    assert doc["hyperbolic"] is True

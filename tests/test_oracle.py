@@ -1,8 +1,6 @@
 """Coefficient oracle: divisor sums, the recurrence, denominators, P(x)^alpha."""
 
 import hashlib
-import io
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -65,7 +63,7 @@ def test_low_order_closed_forms(alpha):
 
 
 def test_low_order_closed_forms_real():
-    prec = Precision(60, 10)
+    prec = Precision(60)
     tab = oracle.coeffs(parse_alpha("e"), 2, prec)
     with prec.ctx():
         assert tab.values[0] == 1
@@ -105,7 +103,7 @@ COEFF_PINS = {
 
 @pytest.mark.parametrize("alpha,digits", sorted(COEFF_PINS))
 def test_coeffs_bits_and_types_pinned(alpha, digits):
-    values = oracle.coeffs(alpha, 40, Precision(digits, 10)).values
+    values = oracle.coeffs(alpha, 40, Precision(digits)).values
     rep = repr([(type(v).__name__, tuple(map(int, v._mpf_)) if isinstance(v, mp.mpf) else v)
                 for v in values])
     digest, kind = COEFF_PINS[alpha, digits]
@@ -163,7 +161,7 @@ def test_eval_at_zero_is_one():
 
 def test_eval_real_point(classical_p):
     # sum of p(n)(0.1)^n, first digits 1.12358275484865...
-    prec = Precision(40, 10)
+    prec = Precision(40)
     with prec.ctx():
         x = mp.mpf(1) / 10
         got = oracle.eval_P_alpha(x, 1, 200, prec)
@@ -173,7 +171,7 @@ def test_eval_real_point(classical_p):
 
 
 def test_eval_complex_point_matches_series():
-    prec = Precision(60, 10)
+    prec = Precision(60)
     tab = oracle.coeffs(2, 200, prec)
     with prec.ctx():
         x = mp.mpc("0.2", "0.1")
@@ -186,7 +184,7 @@ def test_eval_complex_point_matches_series():
 @pytest.mark.parametrize("x_parts", [("0.5", "0"), ("-0.3", "0.25"), ("0.1", "0.45")])
 def test_product_series_equivalence(alpha_text, x_parts, coeff_cache):
     alpha = parse_alpha(alpha_text)
-    prec = Precision(60, 10)
+    prec = Precision(60)
     tab = coeff_cache(alpha, 300, prec)
     with prec.ctx():
         x = mp.mpc(mp.mpf(x_parts[0]), mp.mpf(x_parts[1]))
@@ -200,36 +198,3 @@ def test_eval_rejects_near_unit_modulus():
         oracle.eval_P_alpha(mp.mpf("0.9995"), 1, 100)
     with pytest.raises(DomainError):
         oracle.eval_P_alpha(mp.mpc("0.8", "0.7"), 1, 100)
-
-
-# ---------------------------------------------------------------------------
-# CoefficientTable serialization
-# ---------------------------------------------------------------------------
-
-def test_table_value_str_rational():
-    tab = oracle.coeffs(parse_alpha("51/7"), 3)
-    assert tab.value_str(3) == "52751/343"
-
-
-def test_table_value_str_real_digit_count():
-    tab = oracle.coeffs(parse_alpha("e"), 3)
-    s = tab.value_str(3, digits=12)
-    assert len(s.replace("-", "").replace(".", "").lstrip("0")) <= 13
-
-
-def test_table_json_round_trip():
-    tab = oracle.coeffs(parse_alpha("51/7"), 3)
-    doc = json.loads(tab.to_json())
-    assert doc["alpha"] == "51/7"
-    assert doc["upto"] == 3
-    assert doc["values"][-1] == "52751/343"
-
-
-def test_table_csv_shape():
-    tab = oracle.coeffs(1, 5)
-    buf = io.StringIO()
-    tab.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n,value"
-    assert len(lines) == 7
-    assert lines[-1] == "5,7"
