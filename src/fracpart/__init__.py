@@ -18,7 +18,6 @@ from fracpart.numkernel import (
     ParseError,
     Precision,
     bessel_i,
-    gamma,
     parse_alpha,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "ParseError",
     "Precision",
     "bessel_i",
-    "gamma",
     "parse_alpha",
     "__version__",
 ]

@@ -156,8 +156,8 @@ class CirclePoint:
     """Fixed data of the series at (alpha, n) and one working precision.
 
     av is alpha at working precision, order = av/2 + 1, mus the ladder
-    mu(0..q), pm the oracle prefix p_alpha(0..q), weights the products
-    mu(m)^order p_alpha(m) and c the tail constant C. A truncation delta only
+    mu(0..q), weights the products mu(m)^order p_alpha(m) for the oracle
+    prefix p_alpha(0..q) and c the tail constant C. A truncation delta only
     moves the k-cutoffs, so every series routine reads these fields.
     """
 
@@ -166,7 +166,6 @@ class CirclePoint:
     nu: mp.mpf
     q: int
     mus: tuple
-    pm: tuple
     av: mp.mpf
     order: mp.mpf
     weights: tuple
@@ -191,7 +190,7 @@ def _geometry(alpha: AlphaValue, prec: Precision) -> dict:
         mus = tuple(mp.sqrt(av / 24 - m) for m in range(q + 1))
         weights = tuple(mu ** order * to_mpf(p) for mu, p in zip(mus, pm))
         c = 4 * mp.pi ** 2 * (1 + 2 / av) * mus[0] * sum(weights, mp.mpf(0))
-    return dict(q=q, pm=pm, av=av, order=order, mus=mus, weights=weights, c=c)
+    return dict(q=q, av=av, order=order, mus=mus, weights=weights, c=c)
 
 
 def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePoint:

@@ -3,8 +3,9 @@
 Subcommands: oracle, series, exact, jensen, table, threshold. Exit codes:
 0 success, 1 usage error, 2 domain/arithmetic error, 3 golden-table mismatch.
 Output is deterministic for a fixed command line and FRACPART_DIGITS setting.
-This module renders every result: --format json or csv where the command has
-that form, plain text otherwise.
+This module renders every result, Jensen polynomials included, but the table
+text that goldens writes: --format json or csv where the command has that
+form, plain text otherwise.
 """
 
 from __future__ import annotations
@@ -104,9 +105,26 @@ def _ratio(v: Fraction) -> str:
     return "%d/%d" % (v.numerator, v.denominator)
 
 
-def _coef(c) -> str:
-    """A Jensen coefficient as Polynomial.render writes it, to 15 digits."""
-    return str(c) if isinstance(c, (int, Fraction)) else mp.nstr(mp.mpf(c), 15)
+def _coef(c, digits: int) -> str:
+    """A Jensen coefficient: exact values as they are, floats to digits."""
+    return str(c) if isinstance(c, (int, Fraction)) else mp.nstr(mp.mpf(c), digits)
+
+
+def _poly(p: jensen.Polynomial) -> str:
+    """p in descending powers of X without its zero terms, floats to 10 digits."""
+    text = ""
+    for i in range(p.degree, -1, -1):
+        c = p.coefficients[i]
+        if c == 0:
+            continue
+        cs = _coef(c, 10)
+        neg = cs.startswith("-")
+        if text:
+            text += " - " if neg else " + "
+        elif neg:
+            text = "-"
+        text += (cs[1:] if neg else cs) + ("" if i == 0 else " X" if i == 1 else " X^%d" % i)
+    return text or "0"
 
 
 def _csv(rows, end: str = "\n") -> str:
@@ -119,7 +137,7 @@ def _cmd_oracle(args):
     # a Fraction as a/b, an integer or mpf through mp.nstr
     values = [_ratio(v) if isinstance(v, Fraction) else mp.nstr(v, prec.decimal_digits)
               for v in table.values]
-    doc = {"alpha": str(table.alpha), "upto": table.upto, "values": values}
+    doc = {"alpha": str(table.alpha), "upto": len(table.values) - 1, "values": values}
     # \r\n line ends: this CSV was first written by csv.writer
     csv_text = _csv([("n", "value"), *enumerate(values)], end="\r\n")
     return EXIT_OK, "".join(v + "\n" for v in values), doc, csv_text
@@ -173,10 +191,10 @@ def _cmd_jensen(args):
     verdict = str(report.hyperbolic).lower()
     dist = mp.nstr(report.hermite_distance, 10)
     text = "raw = %s\nrenormalized = %s\nhyperbolic = %s\nhermite_distance = %s\n" % (
-        report.raw.render(digits=10), report.renormalized.render(digits=10), verdict, dist)
+        _poly(report.raw), _poly(report.renormalized), verdict, dist)
     doc = {"alpha": str(report.alpha), "d": report.d, "n": report.n,
-           "raw": [_coef(c) for c in report.raw.coefficients],
-           "renormalized": [_coef(c) for c in report.renormalized.coefficients],
+           "raw": [_coef(c, 15) for c in report.raw.coefficients],
+           "renormalized": [_coef(c, 15) for c in report.renormalized.coefficients],
            "hyperbolic": report.hyperbolic, "hermite_distance": dist}
     csv_text = _csv([("n", "d", "hyperbolic", "gap_to_hermite"),
                      (report.n, report.d, verdict, dist)])

@@ -35,14 +35,8 @@ from fracpart.numkernel import (
     to_mpf,
 )
 
-# published row counts for the artifact-level invariant (T5 groups d=2 and
-# d=3 per n into a single row)
-ROW_COUNTS = {"T1": 10, "T2": 10, "T3": 14, "T4": 10, "T5": 5, "T6": 10}
-
-
 @dataclass(frozen=True)
 class CellDiff:
-    table_id: str
     row: str
     column: str
     printed: str
@@ -127,11 +121,10 @@ def fmt_like(printed: str, value) -> str:
     return str(Decimal((int(scaled < 0), tuple(map(int, str(digits))), -dp)))
 
 
-def _cell(table_id, row_key, column, printed, value) -> tuple:
+def _cell(row_key, column, printed, value) -> tuple:
     """(rendered string, CellDiff) for one golden-compared cell."""
     rendered = fmt_like(printed, value)
     return rendered, CellDiff(
-        table_id=table_id,
         row=str(row_key),
         column=column,
         printed=printed,
@@ -224,15 +217,13 @@ TABLE_IDS = tuple(_TABLES)
 
 def compute_table(table_id: str) -> TableArtifact:
     """Recompute every golden cell of a table and diff it against the print."""
-    if table_id not in _TABLES:
-        raise DomainError("unknown table id %r (expected T1..T6)" % table_id)
-    generate, digits = _TABLES[table_id]
     golden = load_table(table_id)
+    generate, digits = _TABLES[table_id]
     rows, diffs = [], []
     for g, (key, values) in zip(golden, generate(golden, Precision(digits)), strict=True):
         row = [str(key)]
         for column, value in values.items():
-            rendered, diff = _cell(table_id, key, column, g[column], value)
+            rendered, diff = _cell(key, column, g[column], value)
             row.append(rendered)
             diffs.append(diff)
         rows.append(tuple(row))

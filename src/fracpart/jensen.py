@@ -56,35 +56,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def render(self, var: str = "X", digits: int = 6) -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coefficients[i]
-            if c == 0:
-                continue
-            cs = str(c) if isinstance(c, (int, Fraction)) else mp.nstr(mp.mpf(c), digits)
-            neg = cs.startswith("-")
-            mag = cs[1:] if neg else cs
-            if i == 0:
-                term = mag
-            elif i == 1:
-                term = "%s %s" % (mag, var)
-            else:
-                term = "%s %s^%d" % (mag, var, i)
-            if not parts:
-                parts.append(("-" if neg else "") + term)
-            else:
-                parts.append(("- " if neg else "+ ") + term)
-        return " ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # coefficient sources

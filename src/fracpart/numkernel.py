@@ -243,15 +243,6 @@ def parse_alpha(text: str) -> AlphaValue:
 # special functions
 # ---------------------------------------------------------------------------
 
-def gamma(x, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
-    """Gamma(x) for x > 0 at working precision."""
-    with prec.ctx():
-        xv = to_mpf(x)
-        if xv <= 0:
-            raise DomainError("gamma requires x > 0")
-        return mp.gamma(xv)
-
-
 def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     """Modified Bessel I_nu(z), finite nu > 0 and z >= 0, by the defining series.
 

@@ -27,38 +27,11 @@ from fracpart.numkernel import (
     as_alpha,
 )
 
-# sigma sieve grown on demand; _SIGMA[j] = sum of divisors of j, _SIGMA[0] unused
-_SIGMA = [0, 1]
-
-
-def _grow_sigma(n: int):
-    old = len(_SIGMA)
-    if n < old:
-        return
-    new = max(n + 1, 2 * old)
-    _SIGMA.extend([0] * (new - old))
-    # restart the sieve: divisor d marks all multiples in [old, new)
-    for d in range(1, new):
-        first = max(d, ((old + d - 1) // d) * d)
-        for m in range(first, new, d):
-            if m >= old:
-                _SIGMA[m] += d
-
-
-def sigma(j: int) -> int:
-    """Sum of divisors of j >= 1."""
-    if j < 1:
-        raise DomainError("sigma requires j >= 1")
-    _grow_sigma(j)
-    return _SIGMA[j]
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
-    """p_alpha(0..upto): int (integer alpha), Fraction or mpf values."""
+    """p_alpha(0..N): int (integer alpha), Fraction or mpf values."""
 
     alpha: AlphaValue
-    upto: int
     values: tuple
 
     def __getitem__(self, n: int):
@@ -74,8 +47,12 @@ def coeffs(alpha, N: int, prec: Precision = DEFAULT_PRECISION) -> CoefficientTab
     alpha = as_alpha(alpha)
     if N < 0:
         raise DomainError("coeffs requires N >= 0")
-    _grow_sigma(max(N, 1))
-    sig, a = _SIGMA, alpha.rational
+    # sig[j] = sum of the divisors of j, sieved in O(N log N) for this call
+    sig = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for m in range(d, N + 1, d):
+            sig[m] += d
+    a = alpha.rational
     # real alpha: 10 extra guard digits on top of work_dps for the O(N) roundings
     with prec.ctx(10):
         if a is None:
@@ -92,7 +69,7 @@ def coeffs(alpha, N: int, prec: Precision = DEFAULT_PRECISION) -> CoefficientTab
             for j in range(1, n + 1):
                 acc += sig[j] * vals[n - j]
             vals.append(step(acc, n))
-    return CoefficientTable(alpha, N, tuple(vals))
+    return CoefficientTable(alpha, tuple(vals))
 
 
 def denominator(a: int, b: int, n: int) -> int:

@@ -76,15 +76,15 @@ def test_criterion_3_ratio_tables(criterion):
     for tid in ("T1", "T2", "T3", "T4"):
         art = goldens.compute_table(tid)
         total += len(art.diffs)
-        bad.extend(art.mismatches)
+        bad.extend((tid, d) for d in art.mismatches)
         digests[tid] = artifact_digests(art)
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 300
     criterion(3, "tables of ratios and approximants within one printed ulp", ok,
               "%d/%d cells ok, %.1fs" % (total - len(bad), total, elapsed))
-    for d in bad:
+    for tid, d in bad:
         print("  %s row %s col %s: printed %s, recomputed %s"
-              % (d.table_id, d.row, d.column, d.printed, d.recomputed))
+              % (tid, d.row, d.column, d.printed, d.recomputed))
     assert not bad
     assert elapsed < 300
     assert digests == {tid: TABLE_DIGESTS[tid] for tid in digests}

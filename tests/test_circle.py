@@ -179,7 +179,8 @@ def test_circle_point_small_alpha():
     pt = circle.circle_point(parse_alpha("51/7"), 10)
     assert pt.q == 0
     assert len(pt.mus) == 1
-    assert pt.pm[0] == 1
+    with DEFAULT_PRECISION.ctx():
+        assert pt.weights[0] == pt.mus[0] ** pt.order  # p(0) = 1
     with mp.workdps(40):
         assert abs(pt.nu ** 2 - (10 - Fraction(51, 7) / 24)) < mp.mpf(10) ** -35
 
@@ -188,7 +189,8 @@ def test_circle_point_large_alpha_has_q_terms():
     pt = circle.circle_point(parse_alpha("30"), 5)
     assert pt.q == 1
     assert len(pt.mus) == 2
-    assert pt.pm[1] == 30
+    with DEFAULT_PRECISION.ctx():
+        assert pt.weights[1] == pt.mus[1] ** pt.order * 30  # p(1) = alpha
     assert pt.mus[0] > pt.mus[1] >= 0
 
 

@@ -272,9 +272,9 @@ def test_cli_transcripts_replay(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_reference_tables_load_with_expected_shapes():
-    # the T5 file stores one record per (n, d) pair; its artifact groups
-    # the two degrees back into the 5 published rows
-    csv_records = dict(goldens.ROW_COUNTS, T5=10)
+    # published row counts; the T5 file stores one record per (n, d) pair,
+    # which its artifact groups back into the 5 published rows
+    csv_records = {"T1": 10, "T2": 10, "T3": 14, "T4": 10, "T5": 10, "T6": 10}
     for tid in goldens.TABLE_IDS:
         rows = goldens.load_table(tid)
         assert len(rows) == csv_records[tid]

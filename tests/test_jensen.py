@@ -23,17 +23,6 @@ def test_polynomial_strips_trailing_zeros():
     assert p.degree == 1
 
 
-def test_polynomial_evaluation():
-    p = jensen.Polynomial.make([Fraction(1), Fraction(-3), Fraction(2)])
-    assert p(Fraction(2)) == 3
-    assert p(Fraction(1)) == 0
-
-
-def test_polynomial_render():
-    p = jensen.Polynomial.make([7, 11])
-    assert p.render() == "11 X + 7"
-
-
 # ---------------------------------------------------------------------------
 # jensen_poly
 # ---------------------------------------------------------------------------
@@ -142,6 +131,18 @@ def test_numeric_mode_indeterminate_near_double_root():
     p = jensen.Polynomial.make([mp.mpf(0), mp.mpf(0), mp.mpf(1)])
     with pytest.raises(jensen.IndeterminateVerdict):
         jensen.is_hyperbolic(p, mode="numeric", tolerance=mp.mpf("1e-10"))
+
+
+def test_numeric_mode_above_twelve_coefficients():
+    # 13 coefficients take the fixed sign patterns in place of the 2^13 corners
+    tol = mp.mpf("1e-30")
+    h12 = jensen.Polynomial.make([mp.mpf(c) for c in jensen.hermite(12).coefficients])
+    assert jensen.is_hyperbolic(h12, mode="numeric", tolerance=tol)
+    x12_plus_1 = jensen.Polynomial.make([mp.mpf(1)] + [mp.mpf(0)] * 11 + [mp.mpf(1)])
+    assert not jensen.is_hyperbolic(x12_plus_1, mode="numeric", tolerance=tol)
+    x12 = jensen.Polynomial.make([mp.mpf(0)] * 12 + [mp.mpf(1)])
+    with pytest.raises(jensen.IndeterminateVerdict):
+        jensen.is_hyperbolic(x12, mode="numeric", tolerance=tol)
 
 
 def _poly_mul(a, b):

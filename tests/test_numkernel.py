@@ -1,4 +1,4 @@
-"""Precision policy, the alpha expression parser, gamma, and Bessel I."""
+"""Precision policy, the alpha expression parser, and Bessel I."""
 
 from fractions import Fraction
 from math import log10
@@ -18,7 +18,6 @@ from fracpart.numkernel import (
     Precision,
     as_alpha,
     bessel_i,
-    gamma,
     mpf_to_fraction,
     nearest_int,
     parse_alpha,
@@ -301,23 +300,6 @@ def test_alpha_str_round_trip():
 
 def test_alpha_key_distinguishes_kind():
     assert parse_alpha("2").key() != parse_alpha("sqrt(4)").key()
-
-
-# ---------------------------------------------------------------------------
-# gamma
-# ---------------------------------------------------------------------------
-
-def test_gamma_integers():
-    assert gamma(mp.mpf(1)) == 1
-    assert gamma(mp.mpf(5)) == 24
-
-
-def test_gamma_half():
-    # independent sqrt(pi) reference value
-    with mp.workdps(70):
-        want = mp.mpf("1.77245385090551602729816748334114518279754945612238712821381")
-        got = gamma(mp.mpf(1) / 2, Precision(60))
-        assert abs(got - want) < mp.mpf(10) ** -58
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Coefficient oracle: divisor sums, the recurrence, denominators, P(x)^alpha."""
+"""Coefficient oracle: the recurrence, denominators, P(x)^alpha."""
 
 import hashlib
 from fractions import Fraction
@@ -11,27 +11,6 @@ from hypothesis import strategies as st
 
 from fracpart import oracle
 from fracpart.numkernel import DomainError, Precision, parse_alpha, to_mpf
-
-
-# ---------------------------------------------------------------------------
-# sigma
-# ---------------------------------------------------------------------------
-
-def test_sigma_examples():
-    assert oracle.sigma(1) == 1
-    assert oracle.sigma(6) == 12
-    assert oracle.sigma(12) == 28
-
-
-@settings(deadline=None, max_examples=80)
-@given(st.integers(min_value=1, max_value=3000))
-def test_sigma_matches_brute_force(j):
-    assert oracle.sigma(j) == sum(d for d in range(1, j + 1) if j % d == 0)
-
-
-def test_sigma_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        oracle.sigma(0)
 
 
 # ---------------------------------------------------------------------------
