@@ -17,9 +17,9 @@ and the truncated series
                         * sum_{1<=k<2 pi mu(m)/delta} (2 pi/k) A_k(n,m)
                         * I_order(4 pi nu mu(m) / k)
 
-whose distance from p_alpha(n) is certified by tail_bound. Summation is in
-canonical order (m ascending, k ascending, h ascending) so identical inputs
-give bit-identical results.
+whose distance from p_alpha(n) is certified by tail_bound. A_k is real, and
+so is every sum. Summation is in canonical order (m ascending, k ascending,
+h <= k/2 ascending) so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -107,18 +107,20 @@ def _check_coprime_pair(h: int, k: int):
 # alpha-Kloosterman sums
 # ---------------------------------------------------------------------------
 
-def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISION) -> mp.mpc:
+def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     """A_k(n, m) = sum over h in [0,k), gcd(h,k)=1 of exp(i theta_h), where
 
         theta_h = alpha*pi*s(h,k) + (2 pi / k)(m*H - n*h),  h*H = -1 mod k.
+
+    A_k is real for real alpha: s(k-h,k) = -s(h,k) and H(k-h) = k - H(h) make
+    the h and k-h terms conjugate. So cos theta_h is summed over h <= k/2 in
+    h ascending order and doubled when k > 2 (for k <= 2 it is one term).
 
     With S_h = 6k s(h,k), an integer from the reciprocity descent, the phase
     over pi for rational alpha = a/b is the integer residue
     r = a S_h + 12b(m H - n h) mod 12kb divided by 6kb, rounded once. For
     real alpha the irrational part alpha S_h/(6k) is reduced mod 2 at working
     precision and the rational part 2(m H - n h)/k mod 2 is rounded once.
-    cos and sin come from one cospi_sinpi call; real and imaginary parts are
-    summed separately in h ascending order, which is what mpc addition does.
     """
     alpha = as_alpha(alpha)
     if k < 1:
@@ -129,8 +131,8 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
             period, scale = 12 * k * b, 6 * k * b
         else:
             av = alpha.value_at(prec)
-        re = im = mp.mpf(0)
-        for h in range(k):
+        total = mp.mpf(0)
+        for h in range(k // 2 + 1):
             if gcd(h, k) != 1:
                 continue
             s_h = _dedekind_12k(h, k) // 2
@@ -141,10 +143,8 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
             else:
                 t = (mp.fmod(av * (mp.mpf(s_h) / (6 * k)), 2)
                      + mp.mpf((2 * (m * big_h - n * h)) % (2 * k)) / k)
-            c, s = mp.cospi_sinpi(t)
-            re += c
-            im += s
-        return mp.mpc(re, im)
+            total += mp.cospi(t)
+        return 2 * total if k > 2 else total
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ class _TermCache:
     def __init__(self, point: CirclePoint, prec: Precision):
         self.point = point
         self.prec = prec
-        self.prefix = [[mp.mpc(0)] for _ in range(point.q + 1)]  # sums of t(m, 1..k)
+        self.prefix = [[mp.mpf(0)] for _ in range(point.q + 1)]  # sums of t(m, 1..k)
         self.max_abs = mp.mpf(0)  # largest |scaled contribution| seen
 
     def ensure(self, m: int, count: int):
@@ -270,7 +270,7 @@ class _TermCache:
                     self.max_abs = mag
 
     def sum_blocks(self, dv: mp.mpf):
-        """(p_alpha(n; dv) as a complex sum, term counts per m).
+        """(p_alpha(n; dv), term counts per m).
 
         The weighted prefix sums of the m-blocks are added in m ascending
         order and the total is divided by nu^order.
@@ -278,7 +278,7 @@ class _TermCache:
         point = self.point
         with self.prec.ctx():
             counts = _cutoffs(point, dv)
-            total = mp.mpc(0)
+            total = mp.mpf(0)
             for m, count in enumerate(counts):
                 if count:
                     self.ensure(m, count)
@@ -319,8 +319,7 @@ class SeriesApproximation:
 
     alpha: AlphaValue
     n: int
-    value: mp.mpf            # real part of the computed sum
-    imag_residue: mp.mpf     # imaginary part left over (hygiene-checked)
+    value: mp.mpf            # the computed sum
     delta: mp.mpf
     terms_per_m: tuple
     tail_bound: mp.mpf       # certified |p_alpha(n) - value|
@@ -336,10 +335,8 @@ def _delta_range_check(delta, mu0):
 def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) -> SeriesApproximation:
     """Truncated series p_alpha(n; delta) with certified tail bound.
 
-    Summation order is m ascending then k ascending (and h ascending inside
-    each Kloosterman sum); reruns are bit-identical. The imaginary residue
-    must satisfy |Im| <= 10^(5 - decimal_digits) |Re| or an ArithmeticError
-    is raised (the exact sum is real: h and k-h terms are conjugate).
+    Summation order is m ascending then k ascending (and h ascending up to
+    k/2 inside each real Kloosterman sum); reruns are bit-identical.
     """
     alpha = as_alpha(alpha)
     cache = _term_cache(alpha, n, prec)
@@ -347,18 +344,11 @@ def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) ->
     with prec.ctx():
         dv = to_mpf(delta)
         _delta_range_check(dv, point.mus[0])
-        total, counts = cache.sum_blocks(dv)
-        re, im = mp.re(total), mp.im(total)
-        hygiene = mp.mpf(10) ** (5 - prec.decimal_digits) * abs(re)
-        if abs(im) > hygiene:
-            raise ArithmeticError(
-                "imaginary residue %s exceeds hygiene bound %s" % (mp.nstr(im, 5), mp.nstr(hygiene, 5))
-            )
+        value, counts = cache.sum_blocks(dv)
         return SeriesApproximation(
             alpha=alpha,
             n=n,
-            value=re,
-            imag_residue=im,
+            value=value,
             delta=dv,
             terms_per_m=counts,
             tail_bound=_first_form_bound(point, dv, prec),
@@ -449,13 +439,31 @@ def recovery_delta(a: int, b: int, n: int, prec: Precision = DEFAULT_PRECISION) 
         return min(delta, cap)
 
 
-def _recovery_setup(a: int, b: int, n: int):
-    """(alpha, D, starting precision, cached series point) for recovering
-    p_{a/b}(n); the precision is max(60, digits(D) + 20) digits."""
+def _decimal_digits(d: int) -> int:
+    """len(str(d)) for d >= 1, counted from d.bit_length(): str() refuses
+    ints above 4300 digits under Python's default limit."""
+    digits = (d.bit_length() - 1) * 301029995 // 10 ** 9 + 1  # 0.301029995 < log10(2)
+    while d >= 10 ** digits:
+        digits += 1
+    return digits
+
+
+_RECOVERY_FLOOR = Precision(decimal_digits=60)
+
+
+def _recovery_setup(a: int, b: int, n: int, share: int):
+    """(alpha, D, starting precision, cached series point, ladder index j at
+    tail bound < 1/(share D)) for p_{a/b}(n). The precision is max(60,
+    digits(D) + 20); above 60 the scan runs at 60 digits first, so that j past
+    _LADDER_CAP is refused before any Bessel term at the full precision."""
     d = oracle.denominator(a, b, n)
     alpha = as_alpha(Fraction(a, b))
-    prec = Precision(decimal_digits=max(60, len(str(d)) + 20))
-    return alpha, d, prec, _term_cache(alpha, n, prec).point
+    threshold = Fraction(1, share * d)
+    prec = Precision(decimal_digits=max(_RECOVERY_FLOOR.decimal_digits, _decimal_digits(d) + 20))
+    if prec != _RECOVERY_FLOOR:
+        _ladder_scan(circle_point(alpha, n, _RECOVERY_FLOOR), threshold, _RECOVERY_FLOOR)
+    point = _term_cache(alpha, n, prec).point
+    return alpha, d, prec, point, _ladder_scan(point, threshold, prec)
 
 
 _LADDER_CAP = 1_000_000  # largest ladder index the scan tries
@@ -497,8 +505,7 @@ def _escalate(alpha: AlphaValue, n: int, j: int, d: int, prec: Precision):
     while True:
         cache = _term_cache(alpha, n, prec)
         with prec.ctx():
-            total, counts = cache.sum_blocks(_ladder_delta(cache.point, j))
-            value = mp.re(total)
+            value, counts = cache.sum_blocks(_ladder_delta(cache.point, j))
             noise = sum(counts) * mp.mpf(10) ** (-prec.decimal_digits) * max(cache.max_abs, abs(value))
             if noise < to_mpf(Fraction(1, 4 * d)):
                 return cache, value, prec
@@ -517,8 +524,7 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
     recovery_delta) also meets the tail condition but implies astronomically
     many terms; the ladder delta meets it with the sharper first bound form.
     """
-    alpha, d, prec, point = _recovery_setup(a, b, n)
-    j = _ladder_scan(point, Fraction(1, 4 * d), prec)
+    alpha, d, prec, _, j = _recovery_setup(a, b, n, 4)
     _, value, prec = _escalate(alpha, n, j, d, prec)
     with prec.ctx():
         dv_scaled = d * value
@@ -534,8 +540,7 @@ def guaranteed_terms(a: int, b: int, n: int) -> int:
     """Smallest ladder term count whose first-form tail bound certifies that
     rounding D * p_alpha(n; delta) recovers p_alpha(n) (bound < 1/(2D)).
     The scan runs on the cached series point exact_value starts from."""
-    _, d, prec, point = _recovery_setup(a, b, n)
-    j = _ladder_scan(point, Fraction(1, 2 * d), prec)
+    _, _, prec, point, j = _recovery_setup(a, b, n, 2)
     with prec.ctx():
         # translate the ladder index into a total (m, k) term count
         return sum(_cutoffs(point, _ladder_delta(point, j)))
@@ -545,12 +550,11 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     """Smallest term count from which rounding is stably correct: one past the
     last ladder index in [1, guaranteed] where rounding D * p_alpha(n; delta_j)
     misses the oracle value. Aborts if the certified index itself fails."""
-    alpha, d, prec, point = _recovery_setup(a, b, n)
+    alpha, d, prec, _, j_guaranteed = _recovery_setup(a, b, n, 2)
     target = oracle.coeffs(alpha, n).values[n] * d
     if target.denominator != 1:
         raise ArithmeticError("denominator formula failed to clear p(n)")
     target = target.numerator
-    j_guaranteed = _ladder_scan(point, Fraction(1, 2 * d), prec)
     # escalate precision exactly like exact_value so rounding reflects
     # truncation error, not floating noise
     cache, _, prec = _escalate(alpha, n, j_guaranteed, d, prec)
@@ -558,8 +562,8 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     last_fail = 0
     with prec.ctx():
         for j in range(1, j_guaranteed + 1):
-            total, _ = cache.sum_blocks(_ladder_delta(point, j))
-            if nearest_int(d * mp.re(total)) != target:
+            value, _ = cache.sum_blocks(_ladder_delta(point, j))
+            if nearest_int(d * value) != target:
                 last_fail = j
         if last_fail >= j_guaranteed:
             raise ArithmeticError(

@@ -1,8 +1,8 @@
 """Arbitrary-precision numeric kernel.
 
-Precision policy, exact<->float conversions, Gamma, the real-order modified
-Bessel function I_nu by its defining ascending series, and the one-pass parser
-(one regex scan, one recursive descent) for alpha expressions such as "51/7",
+Precision policy, exact<->float conversions, the real-order modified Bessel
+function I_nu by its defining ascending series, and the one-pass parser (one
+regex scan, one recursive descent) for alpha expressions such as "51/7",
 "sqrt(3)", "1/e", "0.01".
 
 All arithmetic is done with mpmath at an explicit working precision; every

@@ -9,8 +9,12 @@ is checked against code that shares nothing with it.
 
 reference_kloosterman and reference_bessel_i are the straightforward mpf
 versions of the library's two inner kernels (Fraction phases, separate
-cospi/sinpi calls, an mpc sum; an mpf series loop). The library's kernels
-must reproduce them bit for bit.
+cospi/sinpi calls, an mpc sum over all h; an mpf series loop).
+reference_kloosterman_real sums the same phases' cosines over h <= k/2 only,
+doubled when k > 2. The library's kernels must reproduce reference_bessel_i
+and reference_kloosterman_real bit for bit, and stay within a derived
+rounding bound of reference_kloosterman, whose imaginary part is the check
+that the conjugate symmetry behind the half sum holds.
 
 reference_exact_hyperbolic decides real-rootedness the long way: divide out
 gcd(p, p') first, then count the real roots of the squarefree part with a
@@ -149,32 +153,55 @@ def artifact_digests(art):
                  for text in (art.formatted(), art.diff_report(), repr(cells)))
 
 
-def reference_kloosterman(alpha, n, m, k, prec):
-    """A_k(n, m) with the phase reduced mod 2 in Fraction arithmetic."""
+def _reference_phases(alpha, n, m, k, prec, hs):
+    """theta_h / pi for h in hs coprime to k, in the order of hs, at the
+    current mpmath precision; the phase is reduced mod 2 in Fraction
+    arithmetic (for real alpha, its irrational part by mp.fmod)."""
     import mpmath as mp
 
     from fracpart import circle
-    from fracpart.numkernel import as_alpha, to_mpf
+    from fracpart.numkernel import to_mpf
+
+    if alpha.kind == "real":
+        av = alpha.value_at(prec)
+    for h in hs:
+        if gcd(h, k) != 1:
+            continue
+        s_hk = circle.dedekind_sum(h, k)
+        big_h = circle.inverse_neg(h, k)
+        frac_part = Fraction(2 * (m * big_h - n * h), k) % 2
+        if alpha.kind == "rational":
+            yield to_mpf((alpha.rational * s_hk + frac_part) % 2)
+        else:
+            yield mp.fmod(av * to_mpf(s_hk), 2) + to_mpf(frac_part)
+
+
+def reference_kloosterman(alpha, n, m, k, prec):
+    """A_k(n, m) as the complex sum over all h in [0, k)."""
+    import mpmath as mp
+
+    from fracpart.numkernel import as_alpha
 
     alpha = as_alpha(alpha)
     with prec.ctx():
-        if alpha.kind == "real":
-            av = alpha.value_at(prec)
         total = mp.mpc(0)
-        for h in range(k):
-            if gcd(h, k) != 1:
-                continue
-            s_hk = circle.dedekind_sum(h, k)
-            big_h = circle.inverse_neg(h, k)
-            frac_part = Fraction(2 * (m * big_h - n * h), k) % 2
-            if alpha.kind == "rational":
-                phase = (alpha.rational * s_hk + frac_part) % 2
-                c, s = mp.cospi(to_mpf(phase)), mp.sinpi(to_mpf(phase))
-            else:
-                t = mp.fmod(av * to_mpf(s_hk), 2) + to_mpf(frac_part)
-                c, s = mp.cospi(t), mp.sinpi(t)
-            total += mp.mpc(c, s)
+        for t in _reference_phases(alpha, n, m, k, prec, range(k)):
+            total += mp.mpc(mp.cospi(t), mp.sinpi(t))
         return total
+
+
+def reference_kloosterman_real(alpha, n, m, k, prec):
+    """A_k(n, m) as the cosine sum over h <= k/2, doubled when k > 2."""
+    import mpmath as mp
+
+    from fracpart.numkernel import as_alpha
+
+    alpha = as_alpha(alpha)
+    with prec.ctx():
+        total = mp.mpf(0)
+        for t in _reference_phases(alpha, n, m, k, prec, range(k // 2 + 1)):
+            total += mp.cospi(t)
+        return 2 * total if k > 2 else total
 
 
 def reference_bessel_i(nu, z, prec):

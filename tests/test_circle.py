@@ -1,6 +1,7 @@
 """Dedekind sums, Kloosterman sums, the truncated series, tail bounds,
 exact recovery, asymptotics, and the functional-equation residual."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_kloosterman
+from conftest import reference_kloosterman, reference_kloosterman_real
 from fracpart import circle, oracle
-from fracpart.numkernel import DEFAULT_PRECISION, DomainError, Precision, parse_alpha, to_mpf
+from fracpart.numkernel import DEFAULT_PRECISION, DomainError, Precision, bessel_i, parse_alpha, to_mpf
 
 
 def coprime_pairs():
@@ -115,10 +116,15 @@ def test_kloosterman_matches_classical(k):
 
 
 def test_kloosterman_classical_is_real():
-    for k in (2, 3, 5, 11):
-        for n in (0, 4, 10):
-            v = circle.kloosterman(1, n, 0, k)
-            assert abs(v.imag) < mp.mpf(10) ** -55
+    # the kernel sums only h <= k/2 because the h and k-h terms are conjugate
+    # for every real alpha; the complex referee sums all h and shows it
+    for alpha_text in ("1", "51/7", "e", "sqrt(3)"):
+        a = parse_alpha(alpha_text)
+        for k in (2, 3, 5, 11, 97):
+            for n, m in ((0, 0), (4, 1), (10, 0)):
+                want = reference_kloosterman(a, n, m, k, DEFAULT_PRECISION)
+                assert abs(want.imag) < mp.mpf(10) ** -55
+                assert isinstance(circle.kloosterman(a, n, m, k), mp.mpf)
 
 
 @settings(deadline=None, max_examples=50)
@@ -149,8 +155,7 @@ def test_kloosterman_periodic_in_n(n, k):
 _REAL_ALPHAS = ["e", "sqrt(3)", "pi", "1/e", "1/pi", "8*pi", "sqrt(2)/3"]
 
 
-@settings(deadline=None, max_examples=60)
-@given(
+_KLOOSTERMAN_INPUTS = dict(
     alpha_text=st.one_of(
         st.builds(lambda a, b: "%d/%d" % (a, b),
                   st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=12)),
@@ -161,14 +166,58 @@ _REAL_ALPHAS = ["e", "sqrt(3)", "pi", "1/e", "1/pi", "8*pi", "sqrt(2)/3"]
     k=st.integers(min_value=1, max_value=700),
     digits=st.integers(min_value=30, max_value=200),
 )
+
+
+@settings(deadline=None, max_examples=60)
+@given(**_KLOOSTERMAN_INPUTS)
 def test_kloosterman_bit_identical_to_reference(alpha_text, n, m, k, digits):
     # the integer-residue kernel must round exactly like Fraction phases
-    # with separate cospi/sinpi calls and an mpc sum
+    # with one cospi call per h <= k/2, summed in mpf and doubled for k > 2
+    alpha, prec = parse_alpha(alpha_text), Precision(digits)
+    got = circle.kloosterman(alpha, n, m, k, prec)
+    want = reference_kloosterman_real(alpha, n, m, k, prec)
+    assert got._mpf_ == want._mpf_
+
+
+@settings(deadline=None, max_examples=60)
+@given(**_KLOOSTERMAN_INPUTS)
+def test_kloosterman_within_rounding_of_complex_reference(alpha_text, n, m, k, digits):
+    """The half sum K against the complex sum R over all h of the referee.
+
+    Let p be the working precision in bits and u = 2^-p; every mpmath
+    operation rounds to nearest, within u times its result. Let phi_h be the
+    exact phase over pi built from av, alpha at working precision (exact for
+    rational alpha). s(k-h,k) = -s(h,k) and H(k-h) = k - H(h) give
+    phi_(k-h) = -phi_h mod 2, so S = sum_h exp(i pi phi_h) is real.
+
+    - Phase. K and R use the same rounded phase t_h (the referees share it,
+      and K matches the half-sum referee bit for bit). For rational alpha
+      t_h is phi_h in [0, 2) rounded once: |t_h - phi_h| <= 2u. For real
+      alpha, s(h,k) (|s| < k/12) rounds within uk/12, its product with av
+      within av k u/6 (1 + u), the exact-then-rounded mod 2 and the
+      rational part (both in [0, 2)) within 2u each, and their sum (< 4)
+      within 4u. So |t_h - phi_h mod 2| <= E = u (av k/6 + 9) for both.
+    - Cosine and sine. mpmath's cospi and sinpi are taken to be within one
+      unit in the last place, 2u for values of modulus <= 1. With
+      |cos pi t - cos pi phi| <= pi |t - phi|, each term is within
+      pi E + 2u of its exact value.
+    - Summation. N terms of modulus <= 1 added in order round within
+      u (2 + ... + N) <= u N^2. K sums N <= k/2 cosines and doubles
+      exactly; Re R and Im R each sum at most k terms.
+
+    So |K - S|, |Re R - S| and |Im R| are each at most
+    B = k (pi E + 2u) + k^2 u, and |K - Re R| <= 2B.
+    """
     alpha, prec = parse_alpha(alpha_text), Precision(digits)
     got = circle.kloosterman(alpha, n, m, k, prec)
     want = reference_kloosterman(alpha, n, m, k, prec)
-    assert got.real._mpf_ == want.real._mpf_
-    assert got.imag._mpf_ == want.imag._mpf_
+    av = alpha.value_at(prec)
+    with prec.ctx():
+        u = mp.ldexp(1, -mp.mp.prec)
+    with mp.workdps(prec.work_dps + 20):
+        bound = k * (mp.pi * u * (av * k / 6 + 9) + 2 * u) + k * k * u
+        assert abs(want.imag) <= bound
+        assert abs(got - want.real) <= 2 * bound
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +279,22 @@ def test_terms_per_m_integer_boundary():
 
 
 def test_series_imaginary_residue_is_small():
-    a = parse_alpha("sqrt(3)")
-    s = circle.partial_series(a, 20, circle.m_term_delta(a, 10))
-    assert s.imag_residue <= abs(s.value) * mp.mpf(10) ** -55
+    # the series rebuilt from the complex referee: its imaginary part, which
+    # the real series never carries, is rounding noise, and its real part is
+    # the library's value
+    for alpha_text, n in (("sqrt(3)", 20), ("51/7", 10)):
+        a = parse_alpha(alpha_text)
+        s = circle.partial_series(a, n, circle.m_term_delta(a, 10))
+        pt = circle.circle_point(a, n)
+        with DEFAULT_PRECISION.ctx():
+            total = mp.mpc(0)
+            for k in range(1, s.terms_per_m[0] + 1):
+                ak = reference_kloosterman(a, n, 0, k, DEFAULT_PRECISION)
+                x = 4 * mp.pi * pt.nu * pt.mus[0] / k
+                total += (2 * mp.pi / k) * ak * bessel_i(pt.order, x, DEFAULT_PRECISION)
+            total *= pt.weights[0] / pt.nu ** pt.order
+            assert abs(total.imag) <= abs(s.value) * mp.mpf(10) ** -55
+            assert abs(total.real - s.value) <= abs(s.value) * mp.mpf(10) ** -55
 
 
 def test_series_domain_errors():
@@ -490,9 +552,24 @@ def test_exact_value_rejects_bad_input():
 
 def test_exact_value_reports_infeasible_cases():
     # the tail decays like delta^(alpha/2), so 1/(2 D) targets with huge D
-    # exceed the ladder cap; the contract is an error, not a wrong answer
-    with pytest.raises(ArithmeticError):
-        circle.exact_value(51, 7, 30)
+    # exceed the ladder cap; the contract is an error, not a wrong answer.
+    # At n = 6000 D has about 5 900 digits: the scan at the 60-digit floor
+    # refuses it before any Bessel term at full precision.
+    for n in (30, 6000):
+        for routine in (circle.exact_value, circle.guaranteed_terms, circle.empirical_min_terms):
+            with pytest.raises(ArithmeticError, match="ladder steps"):
+                routine(51, 7, n)
+
+
+def test_decimal_digits_matches_str():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # unlimited, for str() of the 5000-digit cases
+    try:
+        for j in range(1, 5001):
+            for d in (10 ** j - 1, 10 ** j, 10 ** j + 1):
+                assert circle._decimal_digits(d) == len(str(d))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_guaranteed_terms_frozen_scan():
