@@ -39,7 +39,6 @@ from fracpart.numkernel import (
     Precision,
     as_alpha,
     bessel_i,
-    nearest_int,
     to_mpf,
 )
 
@@ -225,9 +224,9 @@ def _cutoffs(point: CirclePoint, dv: mp.mpf) -> tuple:
     return tuple(_term_cutoff(2 * mp.pi * mu / dv) for mu in point.mus)
 
 
-def _ladder_delta(point: CirclePoint, j: int) -> mp.mpf:
+def _ladder_delta(mu0: mp.mpf, j: int) -> mp.mpf:
     """delta_j = 2 pi mu(0)/(j+1), the truncation with j terms in block m = 0."""
-    return 2 * mp.pi * point.mus[0] / (j + 1)
+    return 2 * mp.pi * mu0 / (j + 1)
 
 
 def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision) -> mp.mpf:
@@ -366,8 +365,7 @@ def m_term_delta(alpha, m_terms: int, prec: Precision = DEFAULT_PRECISION) -> mp
     if _alpha_floor24(alpha, prec) != 0:
         raise DomainError("m_term_delta requires alpha < 24")
     with prec.ctx():
-        av = alpha.value_at(prec)
-        return 2 * mp.pi * mp.sqrt(av / 24) / (m_terms + 1)
+        return _ladder_delta(mp.sqrt(alpha.value_at(prec) / 24), m_terms)
 
 
 def tail_constant(alpha, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
@@ -478,7 +476,7 @@ def _ladder_scan(point: CirclePoint, threshold: Fraction, prec: Precision) -> in
         limit = to_mpf(threshold)
 
         def clears(j):
-            return _first_form_bound(point, _ladder_delta(point, j), prec) < limit
+            return _first_form_bound(point, _ladder_delta(point.mus[0], j), prec) < limit
 
         hi = 1
         while not clears(hi):
@@ -505,7 +503,7 @@ def _escalate(alpha: AlphaValue, n: int, j: int, d: int, prec: Precision):
     while True:
         cache = _term_cache(alpha, n, prec)
         with prec.ctx():
-            value, counts = cache.sum_blocks(_ladder_delta(cache.point, j))
+            value, counts = cache.sum_blocks(_ladder_delta(cache.point.mus[0], j))
             noise = sum(counts) * mp.mpf(10) ** (-prec.decimal_digits) * max(cache.max_abs, abs(value))
             if noise < to_mpf(Fraction(1, 4 * d)):
                 return cache, value, prec
@@ -528,7 +526,7 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
     _, value, prec = _escalate(alpha, n, j, d, prec)
     with prec.ctx():
         dv_scaled = d * value
-        r = nearest_int(dv_scaled)
+        r = int(mp.nint(dv_scaled))
         if abs(dv_scaled - r) > mp.mpf("0.49"):
             raise ArithmeticError(
                 "rounding ambiguity at n=%d: D*value=%s" % (n, mp.nstr(dv_scaled, 30))
@@ -543,7 +541,7 @@ def guaranteed_terms(a: int, b: int, n: int) -> int:
     _, _, prec, point, j = _recovery_setup(a, b, n, 2)
     with prec.ctx():
         # translate the ladder index into a total (m, k) term count
-        return sum(_cutoffs(point, _ladder_delta(point, j)))
+        return sum(_cutoffs(point, _ladder_delta(point.mus[0], j)))
 
 
 def empirical_min_terms(a: int, b: int, n: int) -> int:
@@ -551,10 +549,8 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     last ladder index in [1, guaranteed] where rounding D * p_alpha(n; delta_j)
     misses the oracle value. Aborts if the certified index itself fails."""
     alpha, d, prec, _, j_guaranteed = _recovery_setup(a, b, n, 2)
-    target = oracle.coeffs(alpha, n).values[n] * d
-    if target.denominator != 1:
-        raise ArithmeticError("denominator formula failed to clear p(n)")
-    target = target.numerator
+    # an integer: the oracle's checked recurrence raises if D does not clear p(n)
+    target = int(oracle.coeffs(alpha, n).values[n] * d)
     # escalate precision exactly like exact_value so rounding reflects
     # truncation error, not floating noise
     cache, _, prec = _escalate(alpha, n, j_guaranteed, d, prec)
@@ -562,14 +558,14 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     last_fail = 0
     with prec.ctx():
         for j in range(1, j_guaranteed + 1):
-            value, _ = cache.sum_blocks(_ladder_delta(point, j))
-            if nearest_int(d * value) != target:
+            value, _ = cache.sum_blocks(_ladder_delta(point.mus[0], j))
+            if int(mp.nint(d * value)) != target:
                 last_fail = j
         if last_fail >= j_guaranteed:
             raise ArithmeticError(
                 "rounding failed at the certified term count (n=%d, terms=%d)" % (n, j_guaranteed)
             )
-        return sum(_cutoffs(point, _ladder_delta(point, last_fail + 1)))
+        return sum(_cutoffs(point, _ladder_delta(point.mus[0], last_fail + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,6 @@ def mpf_to_fraction(x: mp.mpf) -> Fraction:
     return -f if sign else f
 
 
-def nearest_int(x: mp.mpf) -> int:
-    """Nearest integer to x. Caller guarantees x is far from a half-integer."""
-    return int(mp.nint(x))
-
-
 # ---------------------------------------------------------------------------
 # alpha expressions
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ The logarithmic-derivative recurrence
 
 is exact over the rationals and independent of the circle-method machinery,
 which is what makes it usable as a referee for everything else. Rational
-alpha gives exact Fraction entries (plain integers when alpha is a positive
-integer); real alpha is evaluated in mpmath with extra guard digits because
-the recurrence accumulates O(N) roundings.
+alpha = a/b runs on the integers u(n) = D p(n), D = denominator(a, b, N),
+with every division checked, so a D that fails to clear some p(n) raises
+instead of giving a wrong value; the entries are Fractions u(n)/D (plain
+integers when alpha is an integer, where D = 1). Real alpha is evaluated in
+mpmath with extra guard digits because the recurrence accumulates O(N)
+roundings.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ def coeffs(alpha, N: int, prec: Precision = DEFAULT_PRECISION) -> CoefficientTab
     """Exact/high-precision table of p_alpha(0..N) via the recurrence.
 
     One loop serves every alpha; only p(0) and the step from n*p(n) to p(n)
-    differ: integer, Fraction or mpf arithmetic.
+    differ: a checked integer division of the scaled values u(n) = D p(n)
+    for rational alpha, mpf arithmetic for real alpha.
     """
     alpha = as_alpha(alpha)
     if N < 0:
@@ -52,23 +56,29 @@ def coeffs(alpha, N: int, prec: Precision = DEFAULT_PRECISION) -> CoefficientTab
     for d in range(1, N + 1):
         for m in range(d, N + 1, d):
             sig[m] += d
-    a = alpha.rational
+    r = alpha.rational
     # real alpha: 10 extra guard digits on top of work_dps for the O(N) roundings
     with prec.ctx(10):
-        if a is None:
+        if r is None:
             av = alpha.value_at(prec)
             one, step = mp.mpf(1), lambda acc, n: av * acc / n
-        elif a.denominator == 1:
-            # integer alpha: the recurrence closes over the integers
-            one, step = 1, lambda acc, n: a.numerator * acc // n
         else:
-            one, step = Fraction(1), lambda acc, n: a * acc / n
+            a, b = r.numerator, r.denominator
+            one = denominator(a, b, N)  # u(0) = D; 1 for integer alpha
+
+            def step(acc, n):
+                u, rem = divmod(a * acc, b * n)
+                if rem:
+                    raise ArithmeticError("denominator(%d, %d, %d) does not clear p(%d)" % (a, b, N, n))
+                return u
         vals, zero = [one], one - one
         for n in range(1, N + 1):
             acc = zero
             for j in range(1, n + 1):
                 acc += sig[j] * vals[n - j]
             vals.append(step(acc, n))
+    if r is not None and r.denominator > 1:
+        vals = [Fraction(u, one) for u in vals]
     return CoefficientTable(alpha, tuple(vals))
 
 

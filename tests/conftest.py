@@ -16,6 +16,10 @@ and reference_kloosterman_real bit for bit, and stay within a derived
 rounding bound of reference_kloosterman, whose imaginary part is the check
 that the conjugate symmetry behind the half sum holds.
 
+reference_rational_coeffs is the divisor-sum recurrence over Fractions, one
+gcd per step, sharing no code with the library's scaled-integer loop. It
+imports nothing from the library, so it also referees oracle.denominator.
+
 reference_exact_hyperbolic decides real-rootedness the long way: divide out
 gcd(p, p') first, then count the real roots of the squarefree part with a
 Sturm chain. The library's single-chain verdict must agree with it.
@@ -151,6 +155,24 @@ def artifact_digests(art):
     cells = sorted((d.row, d.column, d.printed, d.recomputed, d.ok) for d in art.diffs)
     return tuple(sha256(text.encode()).hexdigest()
                  for text in (art.formatted(), art.diff_report(), repr(cells)))
+
+
+def reference_rational_coeffs(alpha, limit):
+    """p_alpha(0..limit) for rational alpha > 0 by
+    n p(n) = alpha sum_{j<=n} sigma(j) p(n - j), p(0) = 1, in Fraction
+    arithmetic: ints when alpha is an integer, Fractions otherwise."""
+    alpha = Fraction(alpha)
+    sig = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for m in range(d, limit + 1, d):
+            sig[m] += d
+    vals = [Fraction(1)]
+    for n in range(1, limit + 1):
+        vals.append(alpha * sum(sig[j] * vals[n - j] for j in range(1, n + 1)) / n)
+    if alpha.denominator > 1:
+        return vals
+    assert all(v.denominator == 1 for v in vals)
+    return [v.numerator for v in vals]
 
 
 def _reference_phases(alpha, n, m, k, prec, hs):

@@ -19,7 +19,6 @@ from fracpart.numkernel import (
     as_alpha,
     bessel_i,
     mpf_to_fraction,
-    nearest_int,
     parse_alpha,
     to_mpf,
 )
@@ -412,9 +411,3 @@ def test_mpf_to_fraction_exact_under_default_precision():
 def test_to_mpf_accepts_fraction():
     with mp.workdps(30):
         assert to_mpf(Fraction(1, 4)) == mp.mpf("0.25")
-
-
-def test_nearest_int():
-    assert nearest_int(mp.mpf("2.4")) == 2
-    assert nearest_int(mp.mpf("-2.6")) == -3
-    assert nearest_int(mp.mpf(3)) == 3

@@ -1,14 +1,16 @@
 """Coefficient oracle: the recurrence, denominators, P(x)^alpha."""
 
 import hashlib
+import time
 from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_rational_coeffs
 from fracpart import oracle
 from fracpart.numkernel import DomainError, Precision, parse_alpha, to_mpf
 
@@ -60,6 +62,40 @@ def test_alpha_two_is_cauchy_square(classical_p):
 def test_positivity():
     assert all(v > 0 for v in oracle.coeffs(Fraction(1, 3), 200).values)
     assert all(v > 0 for v in oracle.coeffs(parse_alpha("sqrt(3)"), 100).values)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    a=st.integers(min_value=1, max_value=400),
+    b=st.integers(min_value=1, max_value=12),
+    n=st.integers(min_value=0, max_value=120),
+)
+@example(a=1, b=100, n=100)
+@example(a=1, b=10, n=100)
+@example(a=5, b=6, n=120)
+@example(a=7, b=12, n=120)
+def test_rational_coeffs_match_fraction_referee(a, b, n):
+    alpha = Fraction(a, b)
+    got = list(oracle.coeffs(alpha, n).values)
+    want = reference_rational_coeffs(alpha, n)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_wrong_denominator_raises(monkeypatch):
+    # every division of the scaled recurrence is checked, so a scale D that
+    # misses a factor of b raises instead of giving wrong Fractions
+    true_denominator = oracle.denominator
+    monkeypatch.setattr(oracle, "denominator", lambda a, b, n: true_denominator(a, b, n) // b)
+    with pytest.raises(ArithmeticError, match="does not clear"):
+        oracle.coeffs("51/7", 20)
+
+
+def test_rational_coeffs_fast():
+    # one gcd per step, as in reference_rational_coeffs, takes about 15 s on a 2-core VM
+    start = time.perf_counter()
+    oracle.coeffs("51/7", 1000)
+    assert time.perf_counter() - start < 5
 
 
 def test_coeffs_rejects_negative_n():
@@ -126,7 +162,7 @@ def test_denominator_is_multiple_of_true_denominator(a, b, n):
     g = gcd(a, b)
     a, b = a // g, b // g
     got = oracle.denominator(a, b, n)
-    true_den = oracle.coeffs(Fraction(a, b), n).values[n].denominator
+    true_den = reference_rational_coeffs(Fraction(a, b), n)[n].denominator
     assert got % true_den == 0
 
 
