@@ -192,12 +192,17 @@ def _geometry(alpha: AlphaValue, prec: Precision) -> dict:
     return dict(q=q, av=av, order=order, mus=mus, weights=weights, c=c)
 
 
-def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePoint:
-    """Assemble the series geometry at (alpha, n): nu plus the n-free fields.
-    nu is real for n > alpha/24, i.e. n > q, checked before the oracle runs."""
-    alpha = as_alpha(alpha)
+def _check_n(alpha: AlphaValue, n: int, prec: Precision) -> None:
+    """nu = sqrt(n - alpha/24) is real for n > alpha/24, i.e. n > q."""
     if n <= _alpha_floor24(alpha, prec):
         raise DomainError("require n > alpha/24")
+
+
+def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePoint:
+    """Assemble the series geometry at (alpha, n): nu plus the n-free fields.
+    n is checked before the oracle runs."""
+    alpha = as_alpha(alpha)
+    _check_n(alpha, n, prec)
     geometry = _geometry(alpha, prec)
     with prec.ctx():
         nu = mp.sqrt(n - geometry["av"] / 24)
@@ -404,10 +409,14 @@ def asymptotic(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> Asymptotic
     bessel_form     = 2 pi I_order((pi alpha / 6) lambda) / lambda^order
                       (identical to the one-term series truncation when q=0),
     elementary_form = sqrt(12/alpha) exp((alpha pi / 6) lambda) / lambda^((alpha+3)/2).
+
+    Needs alpha and order = alpha/2 + 1 only, not the oracle prefix.
     """
-    point = circle_point(alpha, n, prec)
-    av, order = point.av, point.order
+    alpha = as_alpha(alpha)
+    _check_n(alpha, n, prec)
     with prec.ctx():
+        av = alpha.value_at(prec)
+        order = av / 2 + 1
         lam = mp.sqrt(24 * n / av - 1)
         bessel_form = 2 * mp.pi * bessel_i(order, (mp.pi * av / 6) * lam, prec) / lam ** order
         elementary_form = (

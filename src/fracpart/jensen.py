@@ -11,10 +11,10 @@ The degree-d shift-n Jensen polynomial of a coefficient source a(.) is
 with the explicit A(n), delta(n) below converges coefficientwise to the
 Hermite polynomial H_d (normalization H_{d+1} = X H_d - 2d H_{d-1}).
 
-Real-rootedness is decided by exact Sturm chains over the rationals whenever
-the coefficients are exact; the numeric mode (for irrational alpha) reruns
-the exact test on interval endpoints widened by a tolerance and refuses to
-answer when the verdict is not stable.
+Real-rootedness of rational coefficients is decided by one Sturm chain over
+the integers, a primitive signed pseudo-remainder sequence; the numeric mode
+(for irrational alpha) reruns it on the corners of the box the tolerance
+spans, scaled to integers once, and refuses to answer when they disagree.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb
+from math import comb, gcd, lcm
 
 import mpmath as mp
 
@@ -188,7 +188,7 @@ def hermite(d: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# exact real-rootedness (Sturm chains over Fraction)
+# exact real-rootedness (primitive Sturm chains over the integers)
 # ---------------------------------------------------------------------------
 
 def _trim(cs):
@@ -197,20 +197,24 @@ def _trim(cs):
     return cs
 
 
-def _deriv(cs):
-    return [i * c for i, c in enumerate(cs)][1:]
+def _integers(values):
+    """Rationals (ints or Fractions) times the lcm of their denominators."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values]
 
 
-def _rem_poly(a, b):
-    """Remainder of a by b; b is trimmed and nonzero."""
-    a = a[:]
+def _prem(a, b):
+    """The remainder of a by b times a positive integer, divided by its content.
+    Each step takes a to |lc(b)| a - sgn(lc(b)) lc(a) x^s b; a, b are trimmed."""
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
     while len(a) >= len(b):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
+        top = sign * a[-1]
+        a = [lead * c for c in a]
+        for i, c in enumerate(b, len(a) - len(b)):
+            a[i] -= top * c
         _trim(a)
-    return a
+    g = gcd(*a)
+    return [c // g for c in a]
 
 
 def _variations(signs) -> int:
@@ -218,16 +222,17 @@ def _variations(signs) -> int:
 
 
 def _exact_hyperbolic(coeffs) -> bool:
-    cs = _trim([Fraction(c) for c in coeffs])
+    cs = _trim(_integers(coeffs))
     if not cs:
         raise DomainError("zero polynomial has no hyperbolicity verdict")
     if len(cs) <= 2:
         return True  # constants and linear polynomials
-    # Sturm chain p, p', then the negated remainders; its last member is
-    # gcd(p, p'). The theorem needs no squarefree p: V(-inf) - V(+inf) counts
-    # the distinct real roots, and p has deg p - deg gcd(p, p') distinct roots
-    chain = [cs, _deriv(cs)]
-    while r := _rem_poly(chain[-2], chain[-1]):
+    # Sturm chain p, p', then the negated remainders, each member a positive
+    # multiple of the rational chain's; its last member is gcd(p, p'). The
+    # theorem needs no squarefree p: V(-inf) - V(+inf) counts the distinct
+    # real roots, and p has deg p - deg gcd(p, p') distinct roots
+    chain = [cs, [i * c for i, c in enumerate(cs)][1:]]
+    while r := _prem(chain[-2], chain[-1]):
         chain.append([-c for c in r])
     at_pos = [p[-1] > 0 for p in chain]
     at_neg = [s == (len(p) % 2 == 1) for s, p in zip(at_pos, chain)]
@@ -254,23 +259,17 @@ def is_hyperbolic(p: Polynomial, mode: str = "exact", tolerance=None) -> bool:
         raise DomainError("mode must be 'exact' or 'numeric'")
     if tolerance is None or tolerance <= 0:
         raise DomainError("numeric mode needs a positive tolerance")
-    center = [mpf_to_fraction(c) for c in p.coefficients]
-    tol = mpf_to_fraction(tolerance)
+    # one common denominator, a power of 2 for mpf values, makes the box integral
+    *center, tol = _integers([mpf_to_fraction(c) for c in (*p.coefficients, tolerance)])
     if abs(center[-1]) <= tol:
         raise IndeterminateVerdict("leading coefficient smaller than tolerance")
     verdict = _exact_hyperbolic(center)
-    ncoef = len(center)
-    if ncoef <= 12:
-        corners = range(1 << ncoef)
-        patterns = (
-            [tol if (mask >> i) & 1 else -tol for i in range(ncoef)] for mask in corners
-        )
+    n = len(center)
+    if n <= 12:
+        patterns = ([tol if (mask >> i) & 1 else -tol for i in range(n)] for mask in range(1 << n))
     else:  # probe a fixed set of sign patterns instead of 2^n corners
-        patterns = (
-            [s * tol * (1 if (i % per) == 0 else -1) for i in range(ncoef)]
-            for s in (1, -1)
-            for per in (1, 2, 3)
-        )
+        patterns = ([s * tol * (1 if (i % per) == 0 else -1) for i in range(n)]
+                    for s in (1, -1) for per in (1, 2, 3))
     for shift in patterns:
         jittered = [c + ds for c, ds in zip(center, shift)]
         if _exact_hyperbolic(jittered) != verdict:

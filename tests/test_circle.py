@@ -460,7 +460,7 @@ def test_tail_constant_and_recovery_delta_bits_pinned():
         assert circle.tail_constant(parse_alpha(alpha_text))._mpf_ == bits
     assert circle.recovery_delta(51, 7, 10)._mpf_ == (
         0, 56520956936864789251904068025861066991927724406244848650592539625958629, -247, 236)
-    # asymptotic reads alpha and its order from the same series geometry
+    # asymptotic computes alpha and its order with the series geometry's bits
     est = circle.asymptotic(parse_alpha("e"), 10)
     assert est.bessel_form._mpf_ == (
         0, 92153162984600456493244107211698465340053918682855435627868919559010773, -225, 236)
@@ -492,6 +492,26 @@ def test_asymptotic_elementary_converges(classical_p):
         r10k = circle.asymptotic(1, 10000).elementary_form / mp.mpf(classical_p[10000])
         assert abs(r10k - 1) < mp.mpf("0.02")
         assert abs(r10k - 1) < abs(r200 - 1)
+
+
+def test_asymptotic_skips_the_oracle(monkeypatch):
+    # alpha = 24000 has an oracle prefix p(0..1000); asymptotic needs none of it
+    def never(*args):
+        pytest.fail("asymptotic ran the oracle")
+
+    monkeypatch.setattr(oracle, "coeffs", never)
+    est = circle.asymptotic(parse_alpha("24000"), 2000)
+    assert est.bessel_form._mpf_ == (
+        0, 15863474228127852572992728495276594546007486358792294497443270472581085, 10127, 234)
+    assert est.elementary_form._mpf_ == (
+        0, 3351104368373377105343760100372707895537805615199401034534701404653175, 17893, 231)
+    est = circle.asymptotic(parse_alpha("51/7"), 10)
+    assert est.bessel_form._mpf_ == (
+        0, 102097655929948912099147236016940360678087452050462414425700196926665277, -218, 236)
+    assert est.elementary_form._mpf_ == (
+        0, 42250990298336114082978805831570610277492157541067513291807720395118403, -216, 235)
+    with pytest.raises(DomainError, match="require n > alpha/24"):
+        circle.asymptotic(parse_alpha("24000"), 1000)
 
 
 def test_asymptotic_rejects_small_n():

@@ -1,14 +1,14 @@
 """Jensen polynomials, renormalization, Hermite limits, hyperbolicity."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_exact_hyperbolic
+from conftest import _ref_divmod, reference_exact_hyperbolic
 from fracpart import circle, jensen, oracle
 from fracpart.numkernel import DomainError, Precision, parse_alpha
 
@@ -189,6 +189,85 @@ def test_single_sturm_chain_matches_squarefree_reference_factored(case):
     assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs) == real_rooted
 
 
+_int_polys = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_int_polys, _int_polys.filter(any))
+def test_pseudo_remainder_is_a_primitive_positive_multiple(a, b):
+    a, b = jensen._trim(a), jensen._trim(b)
+    got = jensen._prem(a, b)
+    want = _ref_divmod([Fraction(c) for c in a], [Fraction(c) for c in b])[1]
+    assert len(got) == len(want)
+    if want:
+        ratio = Fraction(got[-1]) / want[-1]
+        assert ratio > 0
+        assert got == [ratio * c for c in want]
+        assert gcd(*got) == 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(min_value=10 ** 150, max_value=10 ** 170), min_size=3, max_size=7),
+       st.lists(st.booleans(), min_size=7, max_size=7))
+def test_sturm_chain_matches_reference_above_1e150(magnitudes, negate):
+    coeffs = [-m if s else m for m, s in zip(magnitudes, negate)]
+    assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(d=st.integers(min_value=2, max_value=5), n=st.integers(min_value=230, max_value=300),
+       nudge=st.integers(min_value=-1000, max_value=1000))
+def test_sturm_chain_matches_reference_on_alpha_8_windows(d, n, nudge, coeff_cache):
+    # Jensen polynomials of p_8(n), n up to 300 (p_8(300) has 47 digits); a
+    # constant term nudged by up to 1000 parts in 10^(2d) crosses the verdict
+    # boundary for some of them
+    coeffs = list(jensen.jensen_poly(coeff_cache(parse_alpha("8"), 305), d, n).coefficients)
+    coeffs[0] += nudge * (coeffs[0] // 10 ** (2 * d))
+    assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_factored_polynomials(), st.integers(min_value=20, max_value=120),
+       st.integers(min_value=1, max_value=2 ** 20), st.integers(min_value=0, max_value=127))
+def test_sturm_chain_matches_reference_on_dyadic_corners(case, bits, radius, mask):
+    # a numeric-mode corner: a dyadic center (the factored polynomial read at
+    # `bits` binary digits) shifted by +-radius/2^(bits+20) per coefficient
+    coeffs, _ = case
+    scale = 2 ** bits
+    tol = Fraction(radius, scale << 20)
+    center = [Fraction(round(c * scale), scale) for c in coeffs]
+    corner = [c + (tol if (mask >> i) & 1 else -tol) for i, c in enumerate(center)]
+    for poly in (center, corner):
+        if any(poly):
+            assert jensen._exact_hyperbolic(poly) == reference_exact_hyperbolic(poly)
+
+
+@st.composite
+def _repeated_root_polynomials(draw):
+    """(integer coefficients, hyperbolic?) for c * prod f_i^m_i with some
+    m_i >= 2, so that gcd(p, p') is nontrivial."""
+    roots = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+    poly = [draw(st.integers(min_value=1, max_value=10 ** 6)) * draw(st.sampled_from([1, -1]))]
+    real_rooted = True
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            factor = [-draw(roots), 1]
+        else:
+            factor = [draw(st.integers(min_value=1, max_value=10 ** 12)), 0, 1]  # X^2 + c
+            real_rooted = False
+        low = 2 if k == 0 else 1  # the first factor always repeats
+        for _ in range(draw(st.integers(min_value=low, max_value=3))):
+            poly = _poly_mul(poly, factor)
+    return [int(c) for c in poly], real_rooted
+
+
+@settings(deadline=None, max_examples=200)
+@given(_repeated_root_polynomials())
+def test_sturm_chain_matches_reference_with_repeated_roots(case):
+    coeffs, real_rooted = case
+    assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs) == real_rooted
+
+
 def _compose_affine(p, a, b):
     # exact coefficients of p(a X + b)
     out = [Fraction(0)] * (p.degree + 1)
@@ -290,6 +369,17 @@ def test_threshold_degree_one_never_fails():
 
 def test_threshold_frozen_scan():
     assert jensen.hyperbolicity_threshold(parse_alpha("51/7"), 3, 400) == 0
+
+
+@pytest.mark.parametrize("alpha_text, d, horizon, want", [
+    ("e", 3, 25, 12),
+    ("pi", 2, 100, 0),
+    ("sqrt(3)", 4, 8, None),
+    ("8", 5, 240, 3),
+])
+def test_threshold_pinned_workload_scans(alpha_text, d, horizon, want):
+    # the irrational scans run in numeric mode, alpha = 8 in exact mode
+    assert jensen.hyperbolicity_threshold(parse_alpha(alpha_text), d, horizon) == want
 
 
 def test_threshold_rejects_small_horizon():
