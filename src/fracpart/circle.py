@@ -125,7 +125,7 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
     if k < 1:
         raise DomainError("k must be a positive integer")
     with prec.ctx():
-        if alpha.kind == "rational":
+        if alpha.rational is not None:
             a, b = alpha.rational.numerator, alpha.rational.denominator
             period, scale = 12 * k * b, 6 * k * b
         else:
@@ -136,7 +136,7 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
                 continue
             s_h = _dedekind_12k(h, k) // 2
             big_h = (-pow(h, -1, k)) % k
-            if alpha.kind == "rational":
+            if alpha.rational is not None:
                 r = (a * s_h + 12 * b * (m * big_h - n * h)) % period
                 t = mp.mpf(r) / scale
             else:
@@ -172,8 +172,8 @@ class CirclePoint:
 
 
 def _alpha_floor24(alpha: AlphaValue, prec: Precision) -> int:
-    if alpha.kind == "rational":
-        a = alpha.rational
+    a = alpha.rational
+    if a is not None:
         return a.numerator // (24 * a.denominator)
     with prec.ctx():
         return int(mp.floor(alpha.value_at(prec) / 24))
@@ -321,10 +321,7 @@ def clear_caches():
 class SeriesApproximation:
     """One evaluation of p_alpha(n; delta) plus its certificates."""
 
-    alpha: AlphaValue
-    n: int
     value: mp.mpf            # the computed sum
-    delta: mp.mpf
     terms_per_m: tuple
     tail_bound: mp.mpf       # certified |p_alpha(n) - value|
 
@@ -349,14 +346,8 @@ def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) ->
         dv = to_mpf(delta)
         _delta_range_check(dv, point.mus[0])
         value, counts = cache.sum_blocks(dv)
-        return SeriesApproximation(
-            alpha=alpha,
-            n=n,
-            value=value,
-            delta=dv,
-            terms_per_m=counts,
-            tail_bound=_first_form_bound(point, dv, prec),
-        )
+        return SeriesApproximation(value=value, terms_per_m=counts,
+                                   tail_bound=_first_form_bound(point, dv, prec))
 
 
 def m_term_delta(alpha, m_terms: int, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
@@ -429,6 +420,16 @@ def asymptotic(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> Asymptotic
 # exact rational recovery
 # ---------------------------------------------------------------------------
 
+def _recovery_alpha(a: int, b: int, n: int) -> AlphaValue:
+    """alpha = a/b, refused at n <= alpha/24 before D = denominator(a, b, n)
+    is built: D has at least n log10(b) digits, millions at n = 10**7."""
+    if b < 1:  # denominator's message; Fraction(a, 0) would raise ZeroDivisionError
+        raise DomainError("denominator requires b >= 1")
+    alpha = as_alpha(Fraction(a, b))
+    _check_n(alpha, n, DEFAULT_PRECISION)
+    return alpha
+
+
 def recovery_delta(a: int, b: int, n: int, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     """Closed-form certificate delta for exact recovery, clamped into range:
 
@@ -437,8 +438,9 @@ def recovery_delta(a: int, b: int, n: int, prec: Precision = DEFAULT_PRECISION) 
     At this delta the second-form tail bound equals 1/(2D) exactly, so any
     smaller delta certifies correct rounding of D * p_alpha(n; delta).
     """
+    alpha = _recovery_alpha(a, b, n)
     d = oracle.denominator(a, b, n)
-    point = circle_point(as_alpha(Fraction(a, b)), n, prec)
+    point = circle_point(alpha, n, prec)
     with prec.ctx():
         x = 2 * mp.pi * point.mus[0] * point.nu
         delta = (x ** point.order / (2 * d * point.c * bessel_i(point.order, 2 * x, prec))) ** (2 / point.av)
@@ -463,8 +465,8 @@ def _recovery_setup(a: int, b: int, n: int, share: int):
     tail bound < 1/(share D)) for p_{a/b}(n). The precision is max(60,
     digits(D) + 20); above 60 the scan runs at 60 digits first, so that j past
     _LADDER_CAP is refused before any Bessel term at the full precision."""
+    alpha = _recovery_alpha(a, b, n)
     d = oracle.denominator(a, b, n)
-    alpha = as_alpha(Fraction(a, b))
     threshold = Fraction(1, share * d)
     prec = Precision(decimal_digits=max(_RECOVERY_FLOOR.decimal_digits, _decimal_digits(d) + 20))
     if prec != _RECOVERY_FLOOR:
@@ -473,7 +475,7 @@ def _recovery_setup(a: int, b: int, n: int, share: int):
     return alpha, d, prec, point, _ladder_scan(point, threshold, prec)
 
 
-_LADDER_CAP = 1_000_000  # largest ladder index the scan tries
+_LADDER_CAP = 2 ** 19  # largest ladder index the scan tries
 
 
 def _ladder_scan(point: CirclePoint, threshold: Fraction, prec: Precision) -> int:

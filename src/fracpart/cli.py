@@ -110,11 +110,11 @@ def _coef(c, digits: int) -> str:
     return str(c) if isinstance(c, (int, Fraction)) else mp.nstr(mp.mpf(c), digits)
 
 
-def _poly(p: jensen.Polynomial) -> str:
+def _poly(p: tuple) -> str:
     """p in descending powers of X without its zero terms, floats to 10 digits."""
     text = ""
-    for i in range(p.degree, -1, -1):
-        c = p.coefficients[i]
+    for i in range(len(p) - 1, -1, -1):
+        c = p[i]
         if c == 0:
             continue
         cs = _coef(c, 10)
@@ -137,7 +137,7 @@ def _cmd_oracle(args):
     # a Fraction as a/b, an integer or mpf through mp.nstr
     values = [_ratio(v) if isinstance(v, Fraction) else mp.nstr(v, prec.decimal_digits)
               for v in table.values]
-    doc = {"alpha": str(table.alpha), "upto": len(table.values) - 1, "values": values}
+    doc = {"alpha": args.alpha, "upto": len(table.values) - 1, "values": values}
     # \r\n line ends: this CSV was first written by csv.writer
     csv_text = _csv([("n", "value"), *enumerate(values)], end="\r\n")
     return EXIT_OK, "".join(v + "\n" for v in values), doc, csv_text
@@ -155,11 +155,11 @@ def _cmd_series(args):
     digits, terms = prec.decimal_digits, list(approx.terms_per_m)
     total = sum(terms)
     value = mp.nstr(approx.value, digits)
-    delta = mp.nstr(approx.delta, digits)
+    delta = mp.nstr(dv, digits)
     tail = mp.nstr(approx.tail_bound, 10)
     text = ("value = %s\ndelta = %s\ntail_bound = %s\nterms_per_m = %s (total %d)\n"
             "precision = %d\n" % (value, delta, tail, terms, total, digits))
-    doc = {"alpha": str(approx.alpha), "n": approx.n, "delta": delta, "value": value,
+    doc = {"alpha": args.alpha, "n": args.n, "delta": delta, "value": value,
            "tail_bound": tail, "terms": terms, "precision": digits}
     csv_text = _csv([("value", "delta", "tail_bound", "terms", "precision"),
                      (value, delta, tail, total, digits)])
@@ -167,11 +167,10 @@ def _cmd_series(args):
 
 
 def _cmd_exact(args):
-    alpha = parse_alpha(args.alpha)
-    if alpha.kind != "rational":
+    a = parse_alpha(args.alpha).rational
+    if a is None:
         raise DomainError("exact requires a rational alpha, got %r" % args.alpha)
-    a = alpha.rational
-    record = {"alpha": str(alpha), "n": args.n,
+    record = {"alpha": args.alpha, "n": args.n,
               "value": _ratio(circle.exact_value(a.numerator, a.denominator, args.n))}
     text = "p = %s\n" % record["value"]
     if args.report_terms:
@@ -192,12 +191,12 @@ def _cmd_jensen(args):
     dist = mp.nstr(report.hermite_distance, 10)
     text = "raw = %s\nrenormalized = %s\nhyperbolic = %s\nhermite_distance = %s\n" % (
         _poly(report.raw), _poly(report.renormalized), verdict, dist)
-    doc = {"alpha": str(report.alpha), "d": report.d, "n": report.n,
-           "raw": [_coef(c, 15) for c in report.raw.coefficients],
-           "renormalized": [_coef(c, 15) for c in report.renormalized.coefficients],
+    doc = {"alpha": args.alpha, "d": args.d, "n": args.n,
+           "raw": [_coef(c, 15) for c in report.raw],
+           "renormalized": [_coef(c, 15) for c in report.renormalized],
            "hyperbolic": report.hyperbolic, "hermite_distance": dist}
     csv_text = _csv([("n", "d", "hyperbolic", "gap_to_hermite"),
-                     (report.n, report.d, verdict, dist)])
+                     (args.n, args.d, verdict, dist)])
     return EXIT_OK, text, doc, csv_text
 
 

@@ -197,7 +197,7 @@ def _t5(golden, prec):
     for g in golden:
         n, d = int(g["n"]), int(g["d"])
         poly = jensen.renormalized_jensen(alpha, d, n, prec)
-        yield "%d/d=%d" % (n, d), {"c%d" % i: c for i, c in enumerate(poly.coefficients)}
+        yield "%d/d=%d" % (n, d), {"c%d" % i: c for i, c in enumerate(poly)}
 
 
 def _t6(golden, prec):

@@ -11,6 +11,9 @@ The degree-d shift-n Jensen polynomial of a coefficient source a(.) is
 with the explicit A(n), delta(n) below converges coefficientwise to the
 Hermite polynomial H_d (normalization H_{d+1} = X H_d - 2d H_{d-1}).
 
+A polynomial is a tuple of coefficients in ascending degree, trimmed of
+trailing zeros; () is the zero polynomial.
+
 Real-rootedness of rational coefficients is decided by one Sturm chain over
 the integers, a primitive signed pseudo-remainder sequence; the numeric mode
 (for irrational alpha) reruns it on the corners of the box the tolerance
@@ -40,21 +43,6 @@ from fracpart.numkernel import (
 
 class IndeterminateVerdict(ArithmeticError):
     """Numeric-mode hyperbolicity verdict flips within the stated tolerance."""
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficients in ascending degree; () is the zero polynomial."""
-
-    coefficients: tuple
-
-    @staticmethod
-    def make(coeffs) -> "Polynomial":
-        return Polynomial(tuple(_trim(list(coeffs))))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +88,13 @@ def _window(alpha: AlphaValue, n: int, d: int, prec: Precision, values):
 # Jensen polynomial, renormalization, Hermite target
 # ---------------------------------------------------------------------------
 
-def jensen_poly(values, d: int, n: int) -> Polynomial:
+def jensen_poly(values, d: int, n: int) -> tuple:
     """J^{d,n}(x) with coefficient of x^j equal to binom(d,j) * values(n+j)."""
     if d < 1:
         raise DomainError("d must be a positive integer")
     if n < 0:
         raise DomainError("n must be >= 0")
-    return Polynomial.make(comb(d, j) * _source_get(values, n + j) for j in range(d + 1))
+    return tuple(_trim([comb(d, j) * _source_get(values, n + j) for j in range(d + 1)]))
 
 
 @dataclass(frozen=True)
@@ -136,7 +124,7 @@ def renorm_params(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> RenormP
 
 
 def renormalized_jensen(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISION,
-                        values=None) -> Polynomial:
+                        values=None) -> tuple:
     """Jhat^{d,n}(X) = (delta^-d / p(n)) J^{d,n}((delta X - 1)/exp(A)).
 
     Expanding the affine substitution, the coefficient of X^i is
@@ -145,7 +133,7 @@ def renormalized_jensen(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISI
 
     values overrides the coefficient source (defaults to default_values: exact
     values for rational alpha, the 100-term certified series for irrational
-    alpha); it may be any indexable source (sequence, dict, CoefficientTable).
+    alpha); it may be a sequence or a dict indexed by n.
     """
     alpha = as_alpha(alpha)
     if d < 1:
@@ -155,7 +143,7 @@ def renormalized_jensen(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISI
     return _renormalize(params, d, vals, prec)
 
 
-def _renormalize(params: RenormParams, d: int, vals, prec: Precision) -> Polynomial:
+def _renormalize(params: RenormParams, d: int, vals, prec: Precision) -> tuple:
     """Jhat^{d,n} from the window vals = p(n..n+d)."""
     with prec.ctx():
         pv = [to_mpf(v) for v in vals]
@@ -169,22 +157,22 @@ def _renormalize(params: RenormParams, d: int, vals, prec: Precision) -> Polynom
             for j in range(i, d + 1):
                 acc += comb(d, j) * pv[j] * e_neg_a ** j * comb(j, i) * (-1) ** (j - i)
             coeffs.append(acc * dl ** i / (dl ** d * pv[0]))
-        return Polynomial.make(coeffs)
+        return tuple(_trim(coeffs))
 
 
-def hermite(d: int) -> Polynomial:
+def hermite(d: int) -> tuple:
     """H_d with H_0 = 1, H_1 = X, H_{d+1} = X H_d - 2d H_{d-1} (integer coeffs)."""
     if d < 0:
         raise DomainError("d must be >= 0")
     prev, cur = [1], [0, 1]
     if d == 0:
-        return Polynomial.make(prev)
+        return tuple(prev)
     for m in range(1, d):
         nxt = [0] + cur
         for i, c in enumerate(prev):
             nxt[i] -= 2 * m * c
         prev, cur = cur, nxt
-    return Polynomial.make(cur)
+    return tuple(cur)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +210,8 @@ def _variations(signs) -> int:
 
 
 def _exact_hyperbolic(coeffs) -> bool:
+    """The Sturm verdict for rational coefficients, not all zero."""
     cs = _trim(_integers(coeffs))
-    if not cs:
-        raise DomainError("zero polynomial has no hyperbolicity verdict")
     if len(cs) <= 2:
         return True  # constants and linear polynomials
     # Sturm chain p, p', then the negated remainders, each member a positive
@@ -239,8 +226,9 @@ def _exact_hyperbolic(coeffs) -> bool:
     return _variations(at_neg) - _variations(at_pos) == len(cs) - len(chain[-1])
 
 
-def is_hyperbolic(p: Polynomial, mode: str = "exact", tolerance=None) -> bool:
-    """All roots real? Exact Sturm verdict for rational coefficients.
+def is_hyperbolic(p, mode: str = "exact", tolerance=None) -> bool:
+    """All roots real? p is any sequence of coefficients in ascending degree,
+    trimmed of trailing zeros first. Exact Sturm verdict for rational ones.
 
     mode="numeric" widens every coefficient into an interval of radius
     `tolerance` and reruns the exact test on perturbed coefficients: on every
@@ -248,19 +236,20 @@ def is_hyperbolic(p: Polynomial, mode: str = "exact", tolerance=None) -> bool:
     above that. It raises IndeterminateVerdict if any of them disagrees with
     the center. Neither probe proves the verdict for the whole box.
     """
-    if not isinstance(p, Polynomial):
-        p = Polynomial.make(p)
+    p = _trim(list(p))
+    if not p:
+        raise DomainError("zero polynomial has no hyperbolicity verdict")
     if mode == "exact":
-        for c in p.coefficients:
+        for c in p:
             if not isinstance(c, (int, Fraction)):
                 raise DomainError("exact mode needs rational coefficients; use numeric mode")
-        return _exact_hyperbolic(p.coefficients)
+        return _exact_hyperbolic(p)
     if mode != "numeric":
         raise DomainError("mode must be 'exact' or 'numeric'")
     if tolerance is None or tolerance <= 0:
         raise DomainError("numeric mode needs a positive tolerance")
     # one common denominator, a power of 2 for mpf values, makes the box integral
-    *center, tol = _integers([mpf_to_fraction(c) for c in (*p.coefficients, tolerance)])
+    *center, tol = _integers([mpf_to_fraction(c) for c in (*p, tolerance)])
     if abs(center[-1]) <= tol:
         raise IndeterminateVerdict("leading coefficient smaller than tolerance")
     verdict = _exact_hyperbolic(center)
@@ -277,21 +266,21 @@ def is_hyperbolic(p: Polynomial, mode: str = "exact", tolerance=None) -> bool:
     return verdict
 
 
-def _tolerance(raw: Polynomial, errs, prec: Precision):
+def _tolerance(raw: tuple, errs, prec: Precision):
     """Numeric-mode radius for a raw Jensen polynomial whose values p(n+j)
     carry the error bounds errs (empty if none): the largest binom(d,j) err_j,
     and at least 10^(10 - digits) of the largest coefficient. Call inside
     prec.ctx()."""
     d = len(errs) - 1
-    scale = max(abs(to_mpf(c)) for c in raw.coefficients)
+    scale = max(abs(to_mpf(c)) for c in raw)
     return max([comb(d, j) * e for j, e in enumerate(errs)]
                + [scale * mp.mpf(10) ** (10 - prec.decimal_digits)])
 
 
-def _verdict(alpha: AlphaValue, raw: Polynomial, errs, prec: Precision) -> bool:
+def _verdict(alpha: AlphaValue, raw: tuple, errs, prec: Precision) -> bool:
     """Exact Sturm verdict for rational alpha, numeric mode at _tolerance
     otherwise. Call inside prec.ctx()."""
-    if alpha.kind == "rational":
+    if alpha.rational is not None:
         return is_hyperbolic(raw, mode="exact")
     return is_hyperbolic(raw, mode="numeric", tolerance=_tolerance(raw, errs, prec))
 
@@ -304,14 +293,13 @@ def hyperbolicity_threshold(alpha, d: int, horizon: int,
     out failures beyond the horizon. Returns None when even n = horizon fails.
     Rational alpha gets exact verdicts from the oracle table; irrational alpha
     uses numeric mode with a tolerance tied to the table's precision. values
-    replaces the oracle table: any indexable source (sequence, dict,
-    CoefficientTable).
+    replaces the oracle table: a sequence or a dict indexed by n.
     """
     alpha = as_alpha(alpha)
     if horizon <= d:
         raise DomainError("horizon must exceed d")
     if values is None:
-        values = oracle.coeffs(alpha, horizon + d, prec)
+        values = oracle.coeffs(alpha, horizon + d, prec).values
     last_fail = None
     with prec.ctx():
         for n in range(0, horizon + 1):
@@ -330,11 +318,8 @@ def hyperbolicity_threshold(alpha, d: int, horizon: int,
 
 @dataclass(frozen=True)
 class JensenReport:
-    alpha: AlphaValue
-    d: int
-    n: int
-    raw: Polynomial
-    renormalized: Polynomial
+    raw: tuple
+    renormalized: tuple
     hyperbolic: bool
     hermite_distance: mp.mpf
 
@@ -343,8 +328,8 @@ def build_report(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISION,
                  values=None) -> JensenReport:
     """Raw + renormalized Jensen polynomial at (alpha, d, n) with verdict.
 
-    values overrides the coefficient source as in renormalized_jensen: any
-    indexable source (sequence, dict, CoefficientTable).
+    values overrides the coefficient source as in renormalized_jensen: a
+    sequence or a dict indexed by n.
     """
     alpha = as_alpha(alpha)
     if d < 1:
@@ -355,9 +340,6 @@ def build_report(alpha, d: int, n: int, prec: Precision = DEFAULT_PRECISION,
     with prec.ctx():
         raw = jensen_poly(vals, d, 0)  # the window starts at index 0
         verdict = _verdict(alpha, raw, errs, prec)
-        pairs = zip_longest(renorm.coefficients, hermite(d).coefficients, fillvalue=0)
+        pairs = zip_longest(renorm, hermite(d), fillvalue=0)
         dist = max(abs(to_mpf(a) - to_mpf(b)) for a, b in pairs)
-    return JensenReport(
-        alpha=alpha, d=d, n=n, raw=raw, renormalized=renorm,
-        hyperbolic=verdict, hermite_distance=dist,
-    )
+    return JensenReport(raw=raw, renormalized=renorm, hyperbolic=verdict, hermite_distance=dist)

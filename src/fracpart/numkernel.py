@@ -108,17 +108,13 @@ MAX_SQRT_NESTING = 300
 class AlphaValue:
     """A parsed alpha > 0: exact rational, or an expression tree over e/pi/sqrt.
 
-    rational is None exactly for real kind. value_at evaluates to working
-    precision; for rational kind it is just the fraction rounded once.
+    rational is None exactly for an expression tree. value_at evaluates to
+    working precision; for a rational it is just the fraction rounded once.
     """
 
     text: str
     rational: Fraction | None
     _ast: tuple | None = None
-
-    @property
-    def kind(self) -> str:
-        return "rational" if self.rational is not None else "real"
 
     def value_at(self, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
         with prec.ctx():
@@ -166,7 +162,7 @@ def _eval_ast(node) -> mp.mpf:
 
 
 def parse_alpha(text: str) -> AlphaValue:
-    """Parse an alpha expression; exact-rational kind when no e/pi/sqrt occurs.
+    """Parse an alpha expression; rational is set when no e/pi/sqrt occurs.
 
     Decimal literals are exact ("0.01" is 1/100). Raises ParseError (with byte
     offset) for syntax faults and division by zero, DomainError for zero.

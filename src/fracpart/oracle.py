@@ -24,7 +24,6 @@ import mpmath as mp
 
 from fracpart.numkernel import (
     DEFAULT_PRECISION,
-    AlphaValue,
     DomainError,
     Precision,
     as_alpha,
@@ -34,11 +33,7 @@ from fracpart.numkernel import (
 class CoefficientTable:
     """p_alpha(0..N): int (integer alpha), Fraction or mpf values."""
 
-    alpha: AlphaValue
     values: tuple
-
-    def __getitem__(self, n: int):
-        return self.values[n]
 
 
 def coeffs(alpha, N: int, prec: Precision = DEFAULT_PRECISION) -> CoefficientTable:
@@ -79,7 +74,7 @@ def coeffs(alpha, N: int, prec: Precision = DEFAULT_PRECISION) -> CoefficientTab
             vals.append(step(acc, n))
     if r is not None and r.denominator > 1:
         vals = [Fraction(u, one) for u in vals]
-    return CoefficientTable(alpha, tuple(vals))
+    return CoefficientTable(tuple(vals))
 
 
 def denominator(a: int, b: int, n: int) -> int:

@@ -184,7 +184,7 @@ def _reference_phases(alpha, n, m, k, prec, hs):
     from fracpart import circle
     from fracpart.numkernel import to_mpf
 
-    if alpha.kind == "real":
+    if alpha.rational is None:
         av = alpha.value_at(prec)
     for h in hs:
         if gcd(h, k) != 1:
@@ -192,7 +192,7 @@ def _reference_phases(alpha, n, m, k, prec, hs):
         s_hk = circle.dedekind_sum(h, k)
         big_h = circle.inverse_neg(h, k)
         frac_part = Fraction(2 * (m * big_h - n * h), k) % 2
-        if alpha.kind == "rational":
+        if alpha.rational is not None:
             yield to_mpf((alpha.rational * s_hk + frac_part) % 2)
         else:
             yield mp.fmod(av * to_mpf(s_hk), 2) + to_mpf(frac_part)

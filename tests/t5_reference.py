@@ -44,16 +44,16 @@ def main():
     for g in golden:
         n, d = int(g["n"]), int(g["d"])
         poly = jensen.renormalized_jensen(alpha, d, n, PREC, values=source)
-        exact[n, d] = poly.coefficients
+        exact[n, d] = poly
         printed = [g["c%d" % i] for i in range(d + 1)]
         resid, allowed = t5_identity_residual(g, alpha, PREC)
         print("%d/d=%d  golden-row identity residual %s (rounding allows %s)"
               % (n, d, mp.nstr(resid, 3), mp.nstr(allowed, 3)))
         for i, c in enumerate(printed):
-            rounded = goldens.fmt_like(c, poly.coefficients[i])
+            rounded = goldens.fmt_like(c, poly[i])
             print("  c%d  golden %-11s recurrence %-11s %s  %s"
                   % (i, c, rounded, "same" if rounded == c else "DIFFERS",
-                     mp.nstr(poly.coefficients[i], 15)))
+                     mp.nstr(poly[i], 15)))
 
     print("100-term series source against the recurrence:")
     for n in sorted({int(g["n"]) for g in golden}):
@@ -67,7 +67,7 @@ def main():
             poly = jensen.renormalized_jensen(alpha, d, n, SERIES_PREC, values=table)
             with PREC.ctx():
                 worst = max([worst] + [abs(a - b) for a, b in
-                                       zip(poly.coefficients, exact[n, d])])
+                                       zip(poly, exact[n, d])])
         print("  n = %d: values rel. %s, coefficients abs. %s"
               % (n, mp.nstr(rel, 3), mp.nstr(worst, 3)))
 

@@ -276,6 +276,11 @@ def test_terms_per_m_integer_boundary():
     # delta = 2 pi mu0 / 4 puts the cutoff exactly at k = 4; k < 4 terms survive
     s = circle.partial_series(5, 14, circle.m_term_delta(5, 3))
     assert s.terms_per_m == (3,)
+    # alpha = 32: mu1 = mu0/2, so delta = 2 pi mu0 / 4 puts the m = 1 cutoff
+    # exactly at k = 2, where only k = 1 survives
+    with DEFAULT_PRECISION.ctx():
+        delta = 2 * mp.pi * mp.sqrt(mp.mpf(32) / 24) / 4
+    assert circle.partial_series(32, 5, delta).terms_per_m == (3, 1)
 
 
 def test_series_imaginary_residue_is_small():
@@ -549,6 +554,13 @@ def test_exact_value_integer_alpha_cross_route():
     # denominator 1: recovery must land on the oracle integers
     assert circle.exact_value(2, 1, 30) == oracle.coeffs(2, 30).values[30] == 589128
     assert circle.exact_value(5, 1, 20) == oracle.coeffs(5, 20).values[20] == 16313440
+    # alpha >= 24 (q >= 1): the weight mu(1)^order p(1) and the m = 1 block
+    # enter the series
+    for a, b, ns in ((32, 1, (2, 5, 30)), (49, 2, (6, 12)), (97, 3, (4, 8))):
+        table = oracle.coeffs(Fraction(a, b), max(ns)).values
+        for n in ns:
+            assert circle.exact_value(a, b, n) == table[n]
+            assert circle.guaranteed_terms(a, b, n) >= circle.empirical_min_terms(a, b, n) >= 1
 
 
 @pytest.mark.parametrize("n", [100, 300, 500])
@@ -556,15 +568,25 @@ def test_exact_value_classical_regression(n, classical_p):
     assert circle.exact_value(1, 1, n) == classical_p[n]
 
 
-def test_exact_value_rejects_bad_input():
+def test_exact_value_rejects_bad_input(monkeypatch):
     bad = [
         (6, 4, 3),    # gcd != 1
         (51, 7, 0),   # n <= alpha/24
         (0, 1, 3),    # alpha = 0
         (-5, 1, 3),   # alpha < 0
         (1, 0, 3),    # b = 0
+        (10 ** 10, 3, 10 ** 7),  # n <= alpha/24, where D has 7.2 million digits
     ]
-    for routine in (circle.exact_value, circle.recovery_delta):
+    true_denominator = oracle.denominator
+
+    def denominator(a, b, n):
+        if n == 10 ** 7:
+            pytest.fail("D built for an n below alpha/24")
+        return true_denominator(a, b, n)
+
+    monkeypatch.setattr(oracle, "denominator", denominator)
+    for routine in (circle.exact_value, circle.recovery_delta,
+                    circle.guaranteed_terms, circle.empirical_min_terms):
         for a, b, n in bad:
             with pytest.raises(DomainError):
                 routine(a, b, n)
@@ -573,11 +595,13 @@ def test_exact_value_rejects_bad_input():
 def test_exact_value_reports_infeasible_cases():
     # the tail decays like delta^(alpha/2), so 1/(2 D) targets with huge D
     # exceed the ladder cap; the contract is an error, not a wrong answer.
-    # At n = 6000 D has about 5 900 digits: the scan at the 60-digit floor
-    # refuses it before any Bessel term at full precision.
-    for n in (30, 6000):
+    # The last index the doubling scan probes is 2^19; n = 21 needs 570 517
+    # (1/(2D)) and 690 088 (1/(4D)). At n = 6000 D has about 5 900 digits:
+    # the scan at the 60-digit floor refuses it before any Bessel term at
+    # full precision.
+    for n in (21, 30, 6000):
         for routine in (circle.exact_value, circle.guaranteed_terms, circle.empirical_min_terms):
-            with pytest.raises(ArithmeticError, match="ladder steps"):
+            with pytest.raises(ArithmeticError, match="within 524288 ladder steps"):
                 routine(51, 7, n)
 
 

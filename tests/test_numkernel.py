@@ -60,9 +60,7 @@ def test_precision_context_sets_dps():
     ("0.5/0.25", Fraction(2)),
 ])
 def test_parse_rational(text, expected):
-    a = parse_alpha(text)
-    assert a.kind == "rational"
-    assert a.rational == expected
+    assert parse_alpha(text).rational == expected
 
 
 def test_parse_decimal_is_exact():
@@ -72,9 +70,7 @@ def test_parse_decimal_is_exact():
 
 @pytest.mark.parametrize("text", ["e", "pi", "sqrt(3)", "1/e", "sqrt(2)/2", "pi*pi"])
 def test_parse_real_kind(text):
-    a = parse_alpha(text)
-    assert a.kind == "real"
-    assert a.rational is None
+    assert parse_alpha(text).rational is None
 
 
 def test_parse_sqrt3_value():
@@ -164,7 +160,7 @@ def test_parse_error_messages_and_offsets(text, message, offset):
 
 def test_parse_accepts_sqrt_nested_to_the_limit():
     a = parse_alpha("sqrt(" * MAX_SQRT_NESTING + "4" + ")" * MAX_SQRT_NESTING)
-    assert a.kind == "real"
+    assert a.rational is None
     assert mp.almosteq(a.value_at(), 1)
 
 
@@ -267,7 +263,6 @@ def test_parse_matches_left_to_right_evaluation(tree, data, digits):
         return
     a = parse_alpha(text)
     exact = _exact(tree)
-    assert a.kind == ("real" if exact is None else "rational")
     assert a.rational == exact
     prec = Precision(digits)
     with prec.ctx():
@@ -287,7 +282,7 @@ def test_value_at_precision_independence():
 def test_as_alpha_coercions():
     assert as_alpha(Fraction(3, 2)).rational == Fraction(3, 2)
     assert as_alpha(2).rational == Fraction(2)
-    assert as_alpha("e").kind == "real"
+    assert as_alpha("e").rational is None
     a = parse_alpha("51/7")
     assert as_alpha(a) is a
 
