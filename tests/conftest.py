@@ -11,10 +11,13 @@ reference_kloosterman and reference_bessel_i are the straightforward mpf
 versions of the library's two inner kernels (Fraction phases, separate
 cospi/sinpi calls, an mpc sum over all h; an mpf series loop).
 reference_kloosterman_real sums the same phases' cosines over h <= k/2 only,
-doubled when k > 2. The library's kernels must reproduce reference_bessel_i
-and reference_kloosterman_real bit for bit, and stay within a derived
-rounding bound of reference_kloosterman, whose imaginary part is the check
-that the conjugate symmetry behind the half sum holds.
+doubled when k > 2. reference_series_bessel_i runs bessel_i's documented
+integer series over Fractions, importing nothing from the library. The
+library's kernels must reproduce reference_kloosterman_real and
+reference_series_bessel_i bit for bit, stay within a derived rounding bound
+of reference_kloosterman, whose imaginary part is the check that the
+conjugate symmetry behind the half sum holds, and bessel_i within its stated
+error bound (bessel_error_bound) of reference_bessel_i and mp.besseli.
 
 reference_rational_coeffs is the divisor-sum recurrence over Fractions, one
 gcd per step, sharing no code with the library's scaled-integer loop. It
@@ -247,6 +250,57 @@ def reference_bessel_i(nu, z, prec):
             if term < cutoff * total:
                 break
         return +total
+
+
+def reference_series_bessel_i(nu, z, prec):
+    """(I_nu(z), steps K, tail bound) for mpf nu > 0 and z > 0 by the integer
+    series bessel_i documents, computed over Fractions.
+
+    Each term is the floor of the last one times the exact ratio
+    r = (z/2)^2/(k(nu+k)); the term and the sum shift right together when the
+    term passes W + 8 bits; the stop is the first K with r < 1 and
+    (T_K + K) r/(1-r) < 10^-dps S, and that tail bound, as a fraction of S,
+    is the third value returned.
+    """
+    import mpmath as mp
+
+    with prec.ctx(5):
+        nu, half = mp.mpf(nu), mp.mpf(z) / 2
+        first = half ** nu / mp.gamma(nu + 1)
+        exact_nu = Fraction(int(nu.man)) * Fraction(2) ** int(nu.exp)
+        exact_half = Fraction(int(half.man)) * Fraction(2) ** int(half.exp)
+        w = mp.mp.prec + 64
+        threshold = Fraction(1, 10 ** prec.work_dps)
+        term = total = 2 ** w
+        scale = -w  # total 2^scale is the series factor
+        k = 0
+        while True:
+            r = exact_half ** 2 / ((k + 1) * (exact_nu + k + 1))
+            tail = (term + k) * r / (1 - r) / total if r < 1 else None
+            if tail is not None and tail < threshold:
+                break
+            k += 1
+            term = term * r.numerator // r.denominator
+            total += term
+            if term >= 2 ** (w + 8):
+                drop = term.bit_length() - w - 1
+                term //= 2 ** drop
+                total //= 2 ** drop
+                scale += drop
+        return first * mp.ldexp(mp.mpf(total), scale), k, tail
+
+
+def bessel_error_bound(prec, steps):
+    """bessel_i's relative error bound after K = steps series steps: the
+    series factor's proved 10^-dps + 2 (K+1)^2 2^-W, W = wp + 64, plus 3 units
+    of 2^-wp for the two roundings after it and 5 allowed for the first term,
+    whose error is not proved."""
+    import mpmath as mp
+
+    with prec.ctx(5):
+        wp = mp.mp.prec
+        return (mp.mpf(10) ** -prec.work_dps + 2 * (steps + 1) ** 2 * mp.mpf(2) ** -(wp + 64)
+                + 8 * mp.mpf(2) ** -wp)
 
 
 def _ref_trim(cs):

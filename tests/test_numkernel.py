@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_bessel_i
+from conftest import bessel_error_bound, reference_bessel_i, reference_series_bessel_i
 from fracpart.numkernel import (
     DEFAULT_PRECISION,
     MAX_SQRT_NESTING,
@@ -364,6 +364,12 @@ def test_bessel_precision_stability():
         assert abs(lo - hi) / hi < mp.mpf(10) ** -38
 
 
+def _assert_within_bound(value, referee, steps, prec):
+    """value is within bessel_i's stated bound of referee (relative)."""
+    with mp.workdps(2 * prec.work_dps):
+        assert abs(value - referee) <= bessel_error_bound(prec, steps) * referee
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     nu=st.floats(min_value=1.1, max_value=20),
@@ -371,11 +377,85 @@ def test_bessel_precision_stability():
     digits=st.integers(min_value=30, max_value=120),
 )
 def test_bessel_bit_identical_to_reference(nu, log_z, digits):
-    # the raw-tuple series loop must round exactly like the mpf loop
+    # bessel_i is the integer series reference_series_bessel_i runs over
+    # Fractions, bit for bit; that one value is within the stated bound of the
+    # mpf series loop bessel_i ran before and of mp.besseli at twice the
+    # precision
     prec = Precision(digits)
     with prec.ctx():
         nuv, z = mp.mpf(nu), mp.mpf(10) ** mp.mpf(log_z)
-    assert bessel_i(nuv, z, prec)._mpf_ == reference_bessel_i(nuv, z, prec)._mpf_
+    value = bessel_i(nuv, z, prec)
+    referee, steps, _ = reference_series_bessel_i(nuv, z, prec)
+    assert value._mpf_ == referee._mpf_
+    _assert_within_bound(value, reference_bessel_i(nuv, z, prec), steps, prec)
+    with mp.workdps(2 * prec.work_dps):
+        _assert_within_bound(value, mp.besseli(nuv, z), steps, prec)
+
+
+@pytest.mark.parametrize("alpha", ["e", "sqrt(3)", "51/7", "8*pi"])
+@pytest.mark.parametrize("z_over_pi", [7, 108, 318, 796])  # z = 22, 339, 999, 2501
+def test_bessel_large_argument_accuracy(alpha, z_over_pi):
+    # the orders alpha/2 + 1 of the series terms, with full-width mantissas;
+    # the referee gives only the step count K that the bound needs
+    prec = DEFAULT_PRECISION
+    with prec.ctx():
+        nu = parse_alpha(alpha).value_at(prec) / 2 + 1
+        z = z_over_pi * mp.pi
+    _, steps, _ = reference_series_bessel_i(nu, z, prec)
+    with mp.workdps(2 * prec.work_dps):
+        _assert_within_bound(bessel_i(nu, z, prec), mp.besseli(nu, z), steps, prec)
+
+
+def test_bessel_accuracy_where_the_scale_shifts_many_times():
+    # asymptotic(24000, 2000) takes I_12001(4000 pi): the series factor
+    # I / t0 passes 2^1000, so the integer terms outgrow W + 8 bits and are
+    # shifted back dozens of times. The mpf loop's stop left 1.94 thresholds
+    # of tail here (the pins this kernel moved rely on less than 2).
+    prec = DEFAULT_PRECISION
+    with prec.ctx():
+        nu, z = mp.mpf(12001), 4000 * mp.pi
+    value = bessel_i(nu, z, prec)
+    referee, steps, _ = reference_series_bessel_i(nu, z, prec)
+    assert value._mpf_ == referee._mpf_
+    with mp.workdps(2 * prec.work_dps):
+        truth = mp.besseli(nu, z)
+        assert mp.log(truth * mp.gamma(nu + 1) / (z / 2) ** nu, 2) > 1000
+        _assert_within_bound(value, truth, steps, prec)
+        old_shortfall = (truth - reference_bessel_i(nu, z, prec)) / truth
+        assert mp.mpf(10) ** -prec.work_dps < old_shortfall < 2 * mp.mpf(10) ** -prec.work_dps
+
+
+def test_bessel_stop_rule_bounds_the_tail():
+    # The mpf loop stopped at the first term below 10^-dps of the sum. At
+    # z = 2500 the ratio there was 0.53, so the geometric tail bound
+    # T r/(1-r) exceeded the threshold and the value fell short by more
+    # than 10^-dps. The integer stop bounds the tail below the threshold.
+    prec = DEFAULT_PRECISION
+    threshold = Fraction(1, 10 ** prec.work_dps)
+    with prec.ctx(5):
+        nu, z = mp.e / 2 + 1, mp.mpf(2500)
+        half, term, total, k = z / 2, mp.mpf(1), mp.mpf(1), 0
+        while term >= to_mpf(threshold) * total:  # the mpf loop's stop
+            k += 1
+            term = term * half ** 2 / (k * (nu + k))
+            total += term
+        r = half ** 2 / ((k + 1) * (nu + k + 1))
+        assert mp.mpf("0.52") < r < mp.mpf("0.54")
+        assert term * r / (1 - r) > to_mpf(threshold) * total
+    value, steps, tail = reference_series_bessel_i(nu, z, prec)
+    assert tail < threshold
+    assert bessel_i(nu, z, prec)._mpf_ == value._mpf_
+    with mp.workdps(2 * prec.work_dps):
+        truth = mp.besseli(nu, z)
+        _assert_within_bound(value, truth, steps, prec)
+        assert truth - reference_bessel_i(nu, z, prec) > to_mpf(threshold) * truth
+
+
+@pytest.mark.parametrize("nu,z,message", [(0, 1, "nu > 0"), (-1.5, 1, "nu > 0"), (2, -1, "z >= 0")])
+def test_bessel_domain_errors(nu, z, message):
+    # non-finite input: test_bessel_rejects_non_finite_input
+    with pytest.raises(DomainError, match=message):
+        bessel_i(nu, z)
 
 
 # ---------------------------------------------------------------------------
