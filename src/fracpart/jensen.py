@@ -294,22 +294,23 @@ def hyperbolicity_threshold(alpha, d: int, horizon: int,
     Rational alpha gets exact verdicts from the oracle table; irrational alpha
     uses numeric mode with a tolerance tied to the table's precision. values
     replaces the oracle table: a sequence or a dict indexed by n.
+
+    The threshold is one past the largest failing n, so the scan runs down
+    from the horizon and stops at the first failure. It reads values only
+    from that n (from 0 when none fails) up to horizon + d, and asks for no
+    verdict below it, so an IndeterminateVerdict there, which could not
+    change the answer, does not raise.
     """
     alpha = as_alpha(alpha)
     if horizon <= d:
         raise DomainError("horizon must exceed d")
     if values is None:
         values = oracle.coeffs(alpha, horizon + d, prec).values
-    last_fail = None
     with prec.ctx():
-        for n in range(0, horizon + 1):
+        for n in range(horizon, -1, -1):
             if not _verdict(alpha, jensen_poly(values, d, n), (), prec):
-                last_fail = n
-    if last_fail is None:
-        return 0
-    if last_fail == horizon:
-        return None
-    return last_fail + 1
+                return None if n == horizon else n + 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Shared fixtures: independent reference data and the acceptance reporter.
 
 The classical partition numbers here come from Euler's pentagonal-number
-recurrence, implemented in the test suite only, so that the library's
-divisor-sum recurrence is checked against genuinely independent code.
+recurrence, implemented in the test suite only. The library runs the same
+algorithm for rational alpha (at alpha = 1 it is exactly this recurrence), so
+classical_p checks its code, not its method; the independent check of the
+classical values is reference_rational_coeffs, the divisor-sum recurrence.
 Fractional ones (alpha = sqrt(3)) come from a fixed-point integer version of
 the divisor-sum recurrence, also test-only, so that the circle-method series
 is checked against code that shares nothing with it.

@@ -394,6 +394,46 @@ def test_threshold_pinned_workload_scans(alpha_text, d, horizon, want):
     assert jensen.hyperbolicity_threshold(parse_alpha(alpha_text), d, horizon) == want
 
 
+@pytest.mark.parametrize("alpha, n2, n3", [(3, 0, 10), (2, 5, 24), (1, 25, 94), (Fraction(1, 2), 95, 290)])
+def test_threshold_map_rows(alpha, n2, n3):
+    # N_2 and N_3 scanned to horizon 1500, recorded from the upward scan
+    assert jensen.hyperbolicity_threshold(alpha, 2, 1500) == n2
+    assert jensen.hyperbolicity_threshold(alpha, 3, 1500) == n3
+
+
+def test_threshold_reads_values_only_from_the_last_failure():
+    # alpha = 1, d = 4, H = 245 has threshold 206: the downward scan stops at
+    # n = 205 and needs p(205..249) only
+    full = oracle.coeffs(1, 249).values
+    values = {n: full[n] for n in range(205, 250)}
+    assert jensen.hyperbolicity_threshold(1, 4, 245, values=values) == 206
+
+
+def _verdict_indeterminate_at(monkeypatch, bad):
+    # _verdict sees only the Jensen polynomial, so map it back to its shift n
+    values = oracle.coeffs(1, 249).values
+    shift = {jensen.jensen_poly(values, 4, n): n for n in range(246)}
+    verdict = jensen._verdict
+
+    def patched(alpha, raw, errs, prec):
+        if bad(shift[raw]):
+            raise jensen.IndeterminateVerdict("patched")
+        return verdict(alpha, raw, errs, prec)
+
+    monkeypatch.setattr(jensen, "_verdict", patched)
+
+
+def test_threshold_ignores_indeterminate_verdicts_below_the_last_failure(monkeypatch):
+    _verdict_indeterminate_at(monkeypatch, lambda n: n < 205)
+    assert jensen.hyperbolicity_threshold(1, 4, 245) == 206
+
+
+def test_threshold_raises_indeterminate_verdicts_above_the_last_failure(monkeypatch):
+    _verdict_indeterminate_at(monkeypatch, lambda n: n == 230)
+    with pytest.raises(jensen.IndeterminateVerdict):
+        jensen.hyperbolicity_threshold(1, 4, 245)
+
+
 def test_threshold_rejects_small_horizon():
     with pytest.raises(DomainError):
         jensen.hyperbolicity_threshold(1, 3, 3)

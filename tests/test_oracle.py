@@ -30,6 +30,12 @@ def test_classical_against_pentagonal(classical_p):
     assert list(tab.values) == classical_p[:501]
 
 
+def test_classical_against_divisor_sum_referee():
+    # at alpha = 1 the library's pentagonal loop is the same algorithm as the
+    # classical_p referee, so it is also checked against the divisor sum
+    assert list(oracle.coeffs(1, 500).values) == reference_rational_coeffs(1, 500)
+
+
 def test_rational_examples():
     assert oracle.coeffs(parse_alpha("51/7"), 2).values[2] == Fraction(1836, 49)
     assert oracle.coeffs(Fraction(1, 2), 3).values[3] == Fraction(17, 16)
