@@ -24,9 +24,9 @@ h <= k/2 ascending) so identical inputs give bit-identical results.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import mpmath as mp
@@ -179,8 +179,17 @@ def _alpha_floor24(alpha: AlphaValue, prec: Precision) -> int:
         return int(mp.floor(alpha.value_at(prec) / 24))
 
 
-def _geometry(alpha: AlphaValue, prec: Precision) -> dict:
-    """The fields of CirclePoint that do not depend on n."""
+def _check_n(alpha: AlphaValue, n: int, prec: Precision) -> None:
+    """nu = sqrt(n - alpha/24) is real for n > alpha/24, i.e. n > q."""
+    if n <= _alpha_floor24(alpha, prec):
+        raise DomainError("require n > alpha/24")
+
+
+def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePoint:
+    """Assemble the series geometry at (alpha, n). n is checked before the
+    oracle runs; only nu depends on n."""
+    alpha = as_alpha(alpha)
+    _check_n(alpha, n, prec)
     q = _alpha_floor24(alpha, prec)
     pm = oracle.coeffs(alpha, q, prec).values
     with prec.ctx():
@@ -189,24 +198,9 @@ def _geometry(alpha: AlphaValue, prec: Precision) -> dict:
         mus = tuple(mp.sqrt(av / 24 - m) for m in range(q + 1))
         weights = tuple(mu ** order * to_mpf(p) for mu, p in zip(mus, pm))
         c = 4 * mp.pi ** 2 * (1 + 2 / av) * mus[0] * sum(weights, mp.mpf(0))
-    return dict(q=q, av=av, order=order, mus=mus, weights=weights, c=c)
-
-
-def _check_n(alpha: AlphaValue, n: int, prec: Precision) -> None:
-    """nu = sqrt(n - alpha/24) is real for n > alpha/24, i.e. n > q."""
-    if n <= _alpha_floor24(alpha, prec):
-        raise DomainError("require n > alpha/24")
-
-
-def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePoint:
-    """Assemble the series geometry at (alpha, n): nu plus the n-free fields.
-    n is checked before the oracle runs."""
-    alpha = as_alpha(alpha)
-    _check_n(alpha, n, prec)
-    geometry = _geometry(alpha, prec)
-    with prec.ctx():
-        nu = mp.sqrt(n - geometry["av"] / 24)
-    return CirclePoint(alpha=alpha, n=n, nu=nu, **geometry)
+        nu = mp.sqrt(n - av / 24)
+    return CirclePoint(alpha=alpha, n=n, nu=nu, q=q, mus=mus, av=av, order=order,
+                       weights=weights, c=c)
 
 
 def _term_cutoff(x: mp.mpf) -> int:
@@ -247,7 +241,8 @@ def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision) -> mp.mpf
 #     t(m, k) = (2 pi / k) A_k(n, m) I_order(4 pi nu mu(m) / k)
 # does not depend on delta; delta only moves the k-cutoffs. The scans in
 # guaranteed/empirical/exact evaluate thousands of truncations of the same
-# term sequence, so the prefix sums of the terms are cached per (alpha, n, dps).
+# term sequence, so the prefix sums of the terms are cached per (alpha, n,
+# precision), together with the ladder index each recovery threshold needs.
 
 class _TermCache:
     def __init__(self, point: CirclePoint, prec: Precision):
@@ -255,6 +250,7 @@ class _TermCache:
         self.prec = prec
         self.prefix = [[mp.mpf(0)] for _ in range(point.q + 1)]  # sums of t(m, 1..k)
         self.max_abs = mp.mpf(0)  # largest |scaled contribution| seen
+        self.ladder = {}  # threshold -> smallest ladder index whose tail bound is below it
 
     def ensure(self, m: int, count: int):
         prefix = self.prefix[m]
@@ -292,25 +288,13 @@ class _TermCache:
 
 # Least recently used term caches. T5 builds 20 of them and the acceptance
 # check of its source values reuses four, so the bound stays above 20.
-_TERM_CACHE_SIZE = 32
-_TERM_CACHES: OrderedDict = OrderedDict()
-
-
+@lru_cache(maxsize=32)
 def _term_cache(alpha: AlphaValue, n: int, prec: Precision) -> _TermCache:
-    key = (alpha.key(), n, prec.work_dps)
-    cache = _TERM_CACHES.get(key)
-    if cache is None:
-        cache = _TermCache(circle_point(alpha, n, prec), prec)
-        _TERM_CACHES[key] = cache
-        if len(_TERM_CACHES) > _TERM_CACHE_SIZE:
-            _TERM_CACHES.popitem(last=False)
-    else:
-        _TERM_CACHES.move_to_end(key)
-    return cache
+    return _TermCache(circle_point(alpha, n, prec), prec)
 
 
 def clear_caches():
-    _TERM_CACHES.clear()
+    _term_cache.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +350,8 @@ def m_term_delta(alpha, m_terms: int, prec: Precision = DEFAULT_PRECISION) -> mp
 
 def tail_constant(alpha, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     """C = 4 pi^2 (1 + 2/alpha) mu(0) sum_{m<=q} mu(m)^(alpha/2+1) p_alpha(m)."""
-    return _geometry(as_alpha(alpha), prec)["c"]
+    alpha = as_alpha(alpha)
+    return circle_point(alpha, _alpha_floor24(alpha, prec) + 1, prec).c
 
 
 def tail_bound(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION,
@@ -461,18 +446,20 @@ _RECOVERY_FLOOR = Precision(decimal_digits=60)
 
 
 def _recovery_setup(a: int, b: int, n: int, share: int):
-    """(alpha, D, starting precision, cached series point, ladder index j at
-    tail bound < 1/(share D)) for p_{a/b}(n). The precision is max(60,
-    digits(D) + 20); above 60 the scan runs at 60 digits first, so that j past
+    """(term cache, D, ladder index j at tail bound < 1/(share D)) for
+    p_{a/b}(n). The cache's precision is max(60, digits(D) + 20); above 60 a
+    scan the cache has not recorded runs at 60 digits first, so that j past
     _LADDER_CAP is refused before any Bessel term at the full precision."""
     alpha = _recovery_alpha(a, b, n)
     d = oracle.denominator(a, b, n)
     threshold = Fraction(1, share * d)
     prec = Precision(decimal_digits=max(_RECOVERY_FLOOR.decimal_digits, _decimal_digits(d) + 20))
-    if prec != _RECOVERY_FLOOR:
-        _ladder_scan(circle_point(alpha, n, _RECOVERY_FLOOR), threshold, _RECOVERY_FLOOR)
-    point = _term_cache(alpha, n, prec).point
-    return alpha, d, prec, point, _ladder_scan(point, threshold, prec)
+    cache = _term_cache(alpha, n, prec)
+    if threshold not in cache.ladder:
+        if prec != _RECOVERY_FLOOR:
+            _ladder_scan(circle_point(alpha, n, _RECOVERY_FLOOR), threshold, _RECOVERY_FLOOR)
+        cache.ladder[threshold] = _ladder_scan(cache.point, threshold, prec)
+    return cache, d, cache.ladder[threshold]
 
 
 _LADDER_CAP = 2 ** 19  # largest ladder index the scan tries
@@ -507,18 +494,19 @@ def _ladder_scan(point: CirclePoint, threshold: Fraction, prec: Precision) -> in
         return hi
 
 
-def _escalate(alpha: AlphaValue, n: int, j: int, d: int, prec: Precision):
-    """Double the working precision from prec until the rounding noise of
-    p_alpha(n; delta_j), estimated as term count x 10^-digits x max term
-    magnitude, is below 1/(4D). Returns (term cache, value, precision)."""
+def _escalate(cache: _TermCache, j: int, d: int):
+    """Double the working precision from the cache's until the rounding noise
+    of p_alpha(n; delta_j), estimated as term count x 10^-digits x max term
+    magnitude, is below 1/(4D). Returns (term cache, value)."""
     while True:
-        cache = _term_cache(alpha, n, prec)
+        prec = cache.prec
         with prec.ctx():
             value, counts = cache.sum_blocks(_ladder_delta(cache.point.mus[0], j))
             noise = sum(counts) * mp.mpf(10) ** (-prec.decimal_digits) * max(cache.max_abs, abs(value))
             if noise < to_mpf(Fraction(1, 4 * d)):
-                return cache, value, prec
-        prec = Precision(decimal_digits=prec.decimal_digits * 2)
+                return cache, value
+        cache = _term_cache(cache.point.alpha, cache.point.n,
+                            Precision(decimal_digits=prec.decimal_digits * 2))
 
 
 def exact_value(a: int, b: int, n: int) -> Fraction:
@@ -533,9 +521,9 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
     recovery_delta) also meets the tail condition but implies astronomically
     many terms; the ladder delta meets it with the sharper first bound form.
     """
-    alpha, d, prec, _, j = _recovery_setup(a, b, n, 4)
-    _, value, prec = _escalate(alpha, n, j, d, prec)
-    with prec.ctx():
+    cache, d, j = _recovery_setup(a, b, n, 4)
+    cache, value = _escalate(cache, j, d)
+    with cache.prec.ctx():
         dv_scaled = d * value
         r = int(mp.nint(dv_scaled))
         if abs(dv_scaled - r) > mp.mpf("0.49"):
@@ -548,9 +536,11 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
 def guaranteed_terms(a: int, b: int, n: int) -> int:
     """Smallest ladder term count whose first-form tail bound certifies that
     rounding D * p_alpha(n; delta) recovers p_alpha(n) (bound < 1/(2D)).
-    The scan runs on the cached series point exact_value starts from."""
-    _, _, prec, point, j = _recovery_setup(a, b, n, 2)
-    with prec.ctx():
+    The scan runs on the cached series point exact_value starts from, and
+    empirical_min_terms reads the index it records there."""
+    cache, _, j = _recovery_setup(a, b, n, 2)
+    point = cache.point
+    with cache.prec.ctx():
         # translate the ladder index into a total (m, k) term count
         return sum(_cutoffs(point, _ladder_delta(point.mus[0], j)))
 
@@ -559,15 +549,15 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     """Smallest term count from which rounding is stably correct: one past the
     last ladder index in [1, guaranteed] where rounding D * p_alpha(n; delta_j)
     misses the oracle value. Aborts if the certified index itself fails."""
-    alpha, d, prec, _, j_guaranteed = _recovery_setup(a, b, n, 2)
+    cache, d, j_guaranteed = _recovery_setup(a, b, n, 2)
     # an integer: the oracle's checked recurrence raises if D does not clear p(n)
-    target = int(oracle.coeffs(alpha, n).values[n] * d)
+    target = int(oracle.coeffs(cache.point.alpha, n).values[n] * d)
     # escalate precision exactly like exact_value so rounding reflects
     # truncation error, not floating noise
-    cache, _, prec = _escalate(alpha, n, j_guaranteed, d, prec)
+    cache, _ = _escalate(cache, j_guaranteed, d)
     point = cache.point
     last_fail = 0
-    with prec.ctx():
+    with cache.prec.ctx():
         for j in range(1, j_guaranteed + 1):
             value, _ = cache.sum_blocks(_ladder_delta(point.mus[0], j))
             if int(mp.nint(d * value)) != target:

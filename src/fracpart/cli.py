@@ -11,6 +11,7 @@ form, plain text otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     p = _Parser(prog="fracpart", description=__doc__.splitlines()[0])
     p.add_argument("--digits", type=int, default=None,

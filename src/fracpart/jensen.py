@@ -59,22 +59,17 @@ def _source_get(values, idx: int):
 def default_values(alpha: AlphaValue, n: int, d: int, prec: Precision):
     """p_alpha(n..n+d) plus a certified error bound per value.
 
-    Integer alpha: exact rational recovery, error 0; its term count grows
-    polynomially in n. Other rational alpha: the exact oracle recurrence,
-    error 0, as recovery needs exponentially many terms in n when b > 1.
+    Rational alpha: the exact oracle recurrence (ints for integer alpha,
+    Fractions otherwise), error 0; it is faster than exact recovery at every
+    n, and recovery needs exponentially many terms in n when b > 1.
     Irrational alpha: the 100-term series truncation, error = its certified
     tail bound.
     """
-    a = alpha.rational
-    if a is None:
-        delta = circle.m_term_delta(alpha, 100, prec)
-        approx = [circle.partial_series(alpha, n + j, delta, prec) for j in range(d + 1)]
-        return [x.value for x in approx], [x.tail_bound for x in approx]
-    if a.denominator > 1:
-        vals = list(oracle.coeffs(alpha, n + d, prec).values[n:])
-    else:
-        vals = [circle.exact_value(a.numerator, 1, n + j) for j in range(d + 1)]
-    return vals, [mp.mpf(0)] * (d + 1)
+    if alpha.rational is not None:
+        return list(oracle.coeffs(alpha, n + d, prec).values[n:]), [mp.mpf(0)] * (d + 1)
+    delta = circle.m_term_delta(alpha, 100, prec)
+    approx = [circle.partial_series(alpha, n + j, delta, prec) for j in range(d + 1)]
+    return [x.value for x in approx], [x.tail_bound for x in approx]
 
 
 def _window(alpha: AlphaValue, n: int, d: int, prec: Precision, values):

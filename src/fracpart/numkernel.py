@@ -123,12 +123,6 @@ class AlphaValue:
                 return to_mpf(self.rational)
             return _eval_ast(self._ast)
 
-    def key(self):
-        """Hashable identity for caching (rational value or expression text)."""
-        if self.rational is not None:
-            return self.rational
-        return self.text
-
     def __str__(self):
         return self.text
 

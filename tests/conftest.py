@@ -383,7 +383,7 @@ def classical_p():
 
 @pytest.fixture(scope="session")
 def coeff_cache():
-    """Memoized oracle tables keyed by (alpha text, N, decimal digits)."""
+    """Memoized oracle tables keyed by (AlphaValue, N, decimal digits)."""
     from fracpart import oracle
     from fracpart.numkernel import DEFAULT_PRECISION, as_alpha
 
@@ -391,7 +391,7 @@ def coeff_cache():
 
     def get(alpha, upto, prec=DEFAULT_PRECISION):
         alpha = as_alpha(alpha)
-        key = (alpha.key(), upto, prec.decimal_digits)
+        key = (alpha, upto, prec.decimal_digits)
         if key not in cache:
             cache[key] = oracle.coeffs(alpha, upto, prec)
         return cache[key]

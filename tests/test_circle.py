@@ -321,26 +321,51 @@ def test_clear_caches_keeps_values():
     assert before == after
 
 
+def _series_hits_cache(alpha, n, delta):
+    """Evaluate one truncation; True when its term cache was already held."""
+    hits = circle._term_cache.cache_info().hits
+    circle.partial_series(alpha, n, delta)
+    return circle._term_cache.cache_info().hits == hits + 1
+
+
 def test_term_cache_is_a_bounded_lru():
     a = parse_alpha("1")
     delta = circle.m_term_delta(a, 1)
-
-    def key(n):
-        return (a.key(), n, DEFAULT_PRECISION.work_dps)
-
     circle.clear_caches()
     for n in range(1, 41):
         circle.partial_series(a, n, delta)
-    assert len(circle._TERM_CACHES) <= 32
-    assert key(40) in circle._TERM_CACHES
-    # a hit refreshes an entry, so the next eviction takes another one
-    oldest, second = list(circle._TERM_CACHES)[:2]
-    circle.partial_series(a, oldest[1], delta)
+    assert circle._term_cache.cache_info().currsize == 32
+    assert _series_hits_cache(a, 40, delta)
+    # n = 9 and n = 10 are the two oldest entries; a hit refreshes n = 9, so
+    # the next eviction takes n = 10
+    assert _series_hits_cache(a, 9, delta)
     circle.partial_series(a, 41, delta)
-    assert oldest in circle._TERM_CACHES
-    assert second not in circle._TERM_CACHES
+    assert _series_hits_cache(a, 9, delta)
+    assert not _series_hits_cache(a, 10, delta)
+    assert circle._term_cache.cache_info().currsize == 32
     circle.clear_caches()
-    assert not circle._TERM_CACHES
+    assert circle._term_cache.cache_info().currsize == 0
+    # exact recovery and the series path share the entry of alpha = 51/7
+    circle.exact_value(51, 7, 5)
+    b = parse_alpha("51/7")
+    assert _series_hits_cache(b, 5, circle.m_term_delta(b, 1))
+
+
+def test_recovery_scans_the_ladder_once_per_threshold(monkeypatch):
+    # guaranteed_terms and empirical_min_terms both need the index at 1/(2D);
+    # the term cache keeps it, so the second call does not scan again
+    scans = []
+    scan = circle._ladder_scan
+
+    def counted(*args):
+        scans.append(args[1])
+        return scan(*args)
+
+    monkeypatch.setattr(circle, "_ladder_scan", counted)
+    circle.clear_caches()
+    assert circle.guaranteed_terms(51, 7, 5) == 22
+    assert circle.empirical_min_terms(51, 7, 5) == 7
+    assert scans == [Fraction(1, 2 * oracle.denominator(51, 7, 5))]
 
 
 # ---------------------------------------------------------------------------

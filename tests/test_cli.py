@@ -267,6 +267,13 @@ def test_cli_transcripts_replay(monkeypatch):
     assert time.perf_counter() - start < 5
 
 
+def test_parser_is_built_once_and_survives_usage_errors():
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["--bogus"])[0] == cli.EXIT_USAGE
+    record = next(r for r in TRANSCRIPTS if r["argv"] == ["oracle", "--alpha", "51/7", "--n", "6"])
+    assert run(record["argv"]) == (record["exit"], record["stdout"])
+
+
 # ---------------------------------------------------------------------------
 # goldens helpers
 # ---------------------------------------------------------------------------

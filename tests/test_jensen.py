@@ -481,6 +481,24 @@ def test_default_values_non_integer_rational_reads_the_oracle():
     assert errs == [0] * 8
 
 
+def test_default_values_integer_alpha_reads_the_oracle():
+    # exact recovery, the route integer alpha took before, is the referee
+    vals, errs = jensen.default_values(parse_alpha("1"), 40, 3, Precision())
+    assert vals == [circle.exact_value(1, 1, m) for m in range(40, 44)]
+    assert all(type(v) is int for v in vals)
+    assert errs == [0] * 4
+
+
+def test_build_report_integer_alpha_needs_no_exact_recovery(monkeypatch):
+    def never(*args):
+        pytest.fail("a Jensen window of rational alpha ran exact recovery")
+
+    monkeypatch.setattr(circle, "exact_value", never)
+    rep = jensen.build_report(1, 3, 40)
+    assert rep.raw == (37338, 3 * 44583, 3 * 53174, 63261)  # p(40..43)
+    assert rep.hyperbolic is False  # the degree-3 threshold of p(n) is 94
+
+
 def test_build_report_rejects_n_before_computing_values(monkeypatch):
     # delta(n) is undefined at n = 9 for alpha = 51/7; no coefficient source
     # may run before that is noticed

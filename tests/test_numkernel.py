@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bessel_error_bound, reference_bessel_i, reference_series_bessel_i
+from fracpart import circle
 from fracpart.numkernel import (
     DEFAULT_PRECISION,
     MAX_SQRT_NESTING,
@@ -293,7 +294,14 @@ def test_alpha_str_round_trip():
 
 
 def test_alpha_key_distinguishes_kind():
-    assert parse_alpha("2").key() != parse_alpha("sqrt(4)").key()
+    # an AlphaValue is its own cache key: equal value, different kind, two entries
+    rational, tree = parse_alpha("2"), parse_alpha("sqrt(4)")
+    assert rational != tree
+    circle.clear_caches()
+    delta = circle.m_term_delta(rational, 1)
+    circle.partial_series(rational, 5, delta)
+    circle.partial_series(tree, 5, delta)
+    assert circle._term_cache.cache_info().currsize == 2
 
 
 # ---------------------------------------------------------------------------
