@@ -14,10 +14,16 @@ Hermite polynomial H_d (normalization H_{d+1} = X H_d - 2d H_{d-1}).
 A polynomial is a tuple of coefficients in ascending degree, trimmed of
 trailing zeros; () is the zero polynomial.
 
-Real-rootedness of rational coefficients is decided by one Sturm chain over
-the integers, a primitive signed pseudo-remainder sequence; the numeric mode
-(for irrational alpha) reruns it on the corners of the box the tolerance
-spans, scaled to integers once, and refuses to answer when they disagree.
+Real-rootedness of rational coefficients is decided on the integers: by the
+discriminant's sign for 3 or 4 coefficients (for a Jensen polynomial, the
+Turan and higher-order Turan inequalities), by one Sturm chain, a primitive
+signed pseudo-remainder sequence, above that. The numeric mode (for
+irrational alpha) scales the box the tolerance spans to integers once. With
+at most 4 coefficients it bounds the discriminant over the whole box, so a
+verdict holds for every polynomial in it; above that it reruns the Sturm
+chain on corners of the box, which proves nothing. It refuses to answer when
+the box straddles the verdict (or the corners disagree). Nothing yet proves
+that the box holds the true coefficients.
 """
 
 from __future__ import annotations
@@ -171,7 +177,7 @@ def hermite(d: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact real-rootedness (primitive Sturm chains over the integers)
+# exact real-rootedness on the integers (discriminants, primitive Sturm chains)
 # ---------------------------------------------------------------------------
 
 def _trim(cs):
@@ -204,11 +210,31 @@ def _variations(signs) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _discriminant_parts(c):
+    """(P, N) with P - N the discriminant F of c0 + c1 X + ... for the
+    integers c = (c0, c1, c2) or (c0, c1, c2, c3): P sums F's monomials with
+    positive coefficients, N the others negated, so P + N is G, the same
+    monomials with positive coefficients. F is homogeneous of even degree:
+    a common factor of c keeps its sign."""
+    if len(c) == 3:
+        c0, c1, c2 = c
+        return c1 * c1, 4 * c0 * c2
+    c0, c1, c2, c3 = c
+    return (18 * c0 * c1 * c2 * c3 + c1 * c1 * c2 * c2,
+            4 * (c0 * c2 ** 3 + c1 ** 3 * c3) + 27 * c0 * c0 * c3 * c3)
+
+
 def _exact_hyperbolic(coeffs) -> bool:
-    """The Sturm verdict for rational coefficients, not all zero."""
+    """The verdict for rational coefficients, not all zero. A quadratic or a
+    cubic has only real roots exactly when its discriminant is >= 0 (for a
+    Jensen polynomial: the Turan and the higher-order Turan inequality);
+    above 4 coefficients one Sturm chain decides."""
     cs = _trim(_integers(coeffs))
     if len(cs) <= 2:
         return True  # constants and linear polynomials
+    if len(cs) <= 4:
+        pos, neg = _discriminant_parts(cs)
+        return pos >= neg
     # Sturm chain p, p', then the negated remainders, each member a positive
     # multiple of the rational chain's; its last member is gcd(p, p'). The
     # theorem needs no squarefree p: V(-inf) - V(+inf) counts the distinct
@@ -223,13 +249,19 @@ def _exact_hyperbolic(coeffs) -> bool:
 
 def is_hyperbolic(p, mode: str = "exact", tolerance=None) -> bool:
     """All roots real? p is any sequence of coefficients in ascending degree,
-    trimmed of trailing zeros first. Exact Sturm verdict for rational ones.
+    trimmed of trailing zeros first. Exact verdict for rational ones.
 
     mode="numeric" widens every coefficient into an interval of radius
-    `tolerance` and reruns the exact test on perturbed coefficients: on every
-    corner of the box for up to 12 coefficients, on six fixed sign patterns
-    above that. It raises IndeterminateVerdict if any of them disagrees with
-    the center. Neither probe proves the verdict for the whole box.
+    `tolerance` and raises IndeterminateVerdict when the leading interval
+    holds 0. With at most 4 coefficients the sign of the discriminant F at
+    the center c is the verdict, proved for every polynomial in the box, when
+    |F(c)| > R = G(|c| + tolerance) - G(|c|), which bounds how far F moves in
+    the box (G: F's monomials with positive coefficients); otherwise it
+    raises IndeterminateVerdict. Above 4 coefficients the exact test reruns on
+    every corner of the box for up to 12 coefficients, on six fixed sign
+    patterns above that, and IndeterminateVerdict is raised if any of them
+    disagrees with the center; that probe proves nothing for the box. Nothing
+    yet proves that the box holds the true values.
     """
     p = _trim(list(p))
     if not p:
@@ -247,8 +279,22 @@ def is_hyperbolic(p, mode: str = "exact", tolerance=None) -> bool:
     *center, tol = _integers([mpf_to_fraction(c) for c in (*p, tolerance)])
     if abs(center[-1]) <= tol:
         raise IndeterminateVerdict("leading coefficient smaller than tolerance")
-    verdict = _exact_hyperbolic(center)
     n = len(center)
+    if n <= 2:
+        return True  # every polynomial in the box has degree n - 1
+    if n <= 4:
+        # each monomial m of F has |m(c + e) - m(c)| <= m(|c| + tol) - m(|c|)
+        # for |e_i| <= tol, as its expansion shows term by term
+        pos, neg = _discriminant_parts(center)
+        mags = [abs(c) for c in center]
+        spread = (sum(_discriminant_parts([m + tol for m in mags]))
+                  - sum(_discriminant_parts(mags)))
+        if pos - neg > spread:
+            return True
+        if neg - pos > spread:
+            return False
+        raise IndeterminateVerdict("verdict flips within tolerance")
+    verdict = _exact_hyperbolic(center)
     if n <= 12:
         patterns = ([tol if (mask >> i) & 1 else -tol for i in range(n)] for mask in range(1 << n))
     else:  # probe a fixed set of sign patterns instead of 2^n corners
@@ -273,7 +319,7 @@ def _tolerance(raw: tuple, errs, prec: Precision):
 
 
 def _verdict(alpha: AlphaValue, raw: tuple, errs, prec: Precision) -> bool:
-    """Exact Sturm verdict for rational alpha, numeric mode at _tolerance
+    """Exact verdict for rational alpha, numeric mode at _tolerance
     otherwise. Call inside prec.ctx()."""
     if alpha.rational is not None:
         return is_hyperbolic(raw, mode="exact")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import _ref_divmod, reference_exact_hyperbolic
 from fracpart import circle, jensen, oracle
-from fracpart.numkernel import DomainError, Precision, parse_alpha
+from fracpart.numkernel import DomainError, Precision, mpf_to_fraction, parse_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,47 @@ def test_sturm_chain_matches_reference_on_dyadic_corners(case, bits, radius, mas
             assert jensen._exact_hyperbolic(poly) == reference_exact_hyperbolic(poly)
 
 
+@settings(deadline=None, max_examples=200)
+@given(_factored_polynomials().filter(lambda case: len(case[0]) in (3, 4)),
+       st.integers(min_value=20, max_value=120), st.integers(min_value=1, max_value=2 ** 20),
+       st.integers(min_value=0, max_value=160))
+def test_numeric_box_verdict_holds_at_center_and_corners(case, bits, radius, shift):
+    # a degree-2 or -3 factored polynomial read at `bits` binary digits, a box of
+    # radius radius/2^shift around it: a verdict holds for every polynomial in
+    # the box, so the referee must give it at the center and at every corner
+    coeffs, _ = case
+    scale = 2 ** bits
+    center = [Fraction(round(c * scale), scale) for c in coeffs]
+    tol = Fraction(radius, 2 ** shift)
+    try:
+        verdict = jensen.is_hyperbolic(center, mode="numeric", tolerance=tol)
+    except jensen.IndeterminateVerdict:
+        return
+    assert reference_exact_hyperbolic(center) == verdict
+    for mask in range(1 << len(center)):
+        corner = [c + (tol if (mask >> i) & 1 else -tol) for i, c in enumerate(center)]
+        assert reference_exact_hyperbolic(corner) == verdict
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=-2 ** 40, max_value=2 ** 40), st.integers(min_value=-2 ** 40, max_value=2 ** 40),
+       st.integers(min_value=0, max_value=60), st.sampled_from([(2, 0), (3, 0), (2, 1)]),
+       st.integers(min_value=1, max_value=2 ** 20), st.integers(min_value=0, max_value=400))
+def test_numeric_box_refuses_a_zero_discriminant(r, s, bits, shape, radius, shift):
+    # (X - r)^2, (X - r)^3 and (X - r)^2 (X - s) with dyadic r, s, held
+    # exactly as mpf: no tolerance, however small, proves their verdict
+    r_times, s_times = shape
+    poly = [Fraction(1)]
+    for root, times in ((Fraction(r, 2 ** bits), r_times), (Fraction(s, 2 ** bits), s_times)):
+        for _ in range(times):
+            poly = _poly_mul(poly, [-root, 1])
+    with mp.workprec(1000):
+        center = [mp.mpf(c.numerator) / c.denominator for c in poly]
+    assert [mpf_to_fraction(c) for c in center] == poly
+    with pytest.raises(jensen.IndeterminateVerdict):
+        jensen.is_hyperbolic(center, mode="numeric", tolerance=mp.mpf(radius) * mp.mpf(2) ** -shift)
+
+
 @st.composite
 def _repeated_root_polynomials(draw):
     """(integer coefficients, hyperbolic?) for c * prod f_i^m_i with some
@@ -276,6 +317,45 @@ def _repeated_root_polynomials(draw):
 @settings(deadline=None, max_examples=200)
 @given(_repeated_root_polynomials())
 def test_sturm_chain_matches_reference_with_repeated_roots(case):
+    coeffs, real_rooted = case
+    assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs) == real_rooted
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(min_value=10 ** 150, max_value=10 ** 170), min_size=3, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_discriminant_matches_reference_above_1e150(magnitudes, negate):
+    # quadratics and cubics only: the verdicts the discriminant decides
+    coeffs = [-m if s else m for m, s in zip(magnitudes, negate)]
+    assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs)
+
+
+@st.composite
+def _low_degree_repeated_roots(draw):
+    """(rational coefficients, hyperbolic?) for k (X - r)^2, k (X - r)^3 and
+    k (X - r)^2 (X - s), whose discriminant is 0, for k (X - r)(X^2 + c), and
+    for k (X - r)^2 (X^2 + c), one degree up, where the Sturm chain takes
+    over; |k| lies in [10^150, 10^170] over a denominator up to 10^6."""
+    roots = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+    lin_r, lin_s = [-draw(roots), 1], [-draw(roots), 1]
+    quad = [draw(st.integers(min_value=1, max_value=10 ** 12)), 0, 1]
+    factors, real_rooted = draw(st.sampled_from([
+        ((lin_r, lin_r), True),
+        ((lin_r, lin_r, lin_r), True),
+        ((lin_r, lin_r, lin_s), True),
+        ((lin_r, quad), False),
+        ((lin_r, lin_r, quad), False),
+    ]))
+    k = draw(st.integers(min_value=10 ** 150, max_value=10 ** 170)) * draw(st.sampled_from([1, -1]))
+    poly = [Fraction(k, draw(st.integers(min_value=1, max_value=10 ** 6)))]
+    for factor in factors:
+        poly = _poly_mul(poly, factor)
+    return poly, real_rooted
+
+
+@settings(deadline=None, max_examples=200)
+@given(_low_degree_repeated_roots())
+def test_discriminant_matches_reference_with_repeated_roots(case):
     coeffs, real_rooted = case
     assert jensen._exact_hyperbolic(coeffs) == reference_exact_hyperbolic(coeffs) == real_rooted
 
@@ -310,7 +390,21 @@ def test_degree_two_is_log_concavity(alpha_text, n, coeff_cache):
     tab = coeff_cache(parse_alpha(alpha_text), 302)
     p = jensen.jensen_poly(tab.values, 2, n)
     log_concave = tab.values[n + 1] ** 2 >= tab.values[n] * tab.values[n + 2]
-    assert jensen.is_hyperbolic(p) == log_concave
+    assert jensen.is_hyperbolic(p) == log_concave == reference_exact_hyperbolic(p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    alpha_text=st.sampled_from(["1", "51/7"]),
+    n=st.integers(min_value=0, max_value=300),
+)
+def test_degree_three_is_the_higher_order_turan_inequality(alpha_text, n, coeff_cache):
+    # J^{3,n} is hyperbolic iff 4(a1^2 - a0 a2)(a2^2 - a1 a3) - (a1 a2 - a0 a3)^2 >= 0
+    tab = coeff_cache(parse_alpha(alpha_text), 303)
+    a0, a1, a2, a3 = tab.values[n:n + 4]
+    turan = 4 * (a1 ** 2 - a0 * a2) * (a2 ** 2 - a1 * a3) - (a1 * a2 - a0 * a3) ** 2 >= 0
+    p = jensen.jensen_poly(tab.values, 3, n)
+    assert jensen.is_hyperbolic(p) == turan == reference_exact_hyperbolic(p)
 
 
 # ---------------------------------------------------------------------------
