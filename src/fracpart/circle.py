@@ -18,8 +18,9 @@ and the truncated series
                         * I_order(4 pi nu mu(m) / k)
 
 whose distance from p_alpha(n) is certified by tail_bound. A_k is real, and
-so is every sum. Summation is in canonical order (m ascending, k ascending,
-h <= k/2 ascending) so identical inputs give bit-identical results.
+so is every sum. Summation is in canonical order (m ascending, k ascending;
+inside A_k, h <= k/2 ascending for real alpha and an exact integer sum of
+cosines for rational alpha) so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath as mp
 
@@ -39,6 +40,7 @@ from fracpart.numkernel import (
     Precision,
     as_alpha,
     bessel_i,
+    cos_sum,
     to_mpf,
 )
 
@@ -112,37 +114,35 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
         theta_h = alpha*pi*s(h,k) + (2 pi / k)(m*H - n*h),  h*H = -1 mod k.
 
     A_k is real for real alpha: s(k-h,k) = -s(h,k) and H(k-h) = k - H(h) make
-    the h and k-h terms conjugate. So cos theta_h is summed over h <= k/2 in
-    h ascending order and doubled when k > 2 (for k <= 2 it is one term).
+    the h and k-h terms conjugate. So cos theta_h is summed over h <= k/2 and
+    doubled when k > 2 (for k <= 2 it is one term).
 
     With S_h = 6k s(h,k), an integer from the reciprocity descent, the phase
-    over pi for rational alpha = a/b is the integer residue
-    r = a S_h + 12b(m H - n h) mod 12kb divided by 6kb, rounded once. For
-    real alpha the irrational part alpha S_h/(6k) is reduced mod 2 at working
-    precision and the rational part 2(m H - n h)/k mod 2 is rounded once.
+    over pi for rational alpha = a/b is r/(6kb) with the integer residue
+    r = a S_h + 12b(m H - n h) mod 12kb, so cos_sum adds the cosines exactly
+    on integers and rounds once: A_k is within half an ulp plus 2^-wp of its
+    exact value, wp the working precision in bits. For real alpha the
+    irrational part alpha S_h/(6k) is reduced mod 2 at working precision, the
+    rational part 2(m H - n h)/k mod 2 is rounded once, and the cosines are
+    summed in h ascending order.
     """
     alpha = as_alpha(alpha)
     if k < 1:
         raise DomainError("k must be a positive integer")
+    # (h, S_h, H) for the coprime h <= k/2
+    triples = [(h, _dedekind_12k(h, k) // 2, (-pow(h, -1, k)) % k)
+               for h in range(k // 2 + 1) if gcd(h, k) == 1]
     with prec.ctx():
         if alpha.rational is not None:
             a, b = alpha.rational.numerator, alpha.rational.denominator
-            period, scale = 12 * k * b, 6 * k * b
+            total = cos_sum([a * s_h + 12 * b * (m * big_h - n * h) for h, s_h, big_h in triples],
+                            12 * k * b, prec)
         else:
             av = alpha.value_at(prec)
-        total = mp.mpf(0)
-        for h in range(k // 2 + 1):
-            if gcd(h, k) != 1:
-                continue
-            s_h = _dedekind_12k(h, k) // 2
-            big_h = (-pow(h, -1, k)) % k
-            if alpha.rational is not None:
-                r = (a * s_h + 12 * b * (m * big_h - n * h)) % period
-                t = mp.mpf(r) / scale
-            else:
-                t = (mp.fmod(av * (mp.mpf(s_h) / (6 * k)), 2)
-                     + mp.mpf((2 * (m * big_h - n * h)) % (2 * k)) / k)
-            total += mp.cospi(t)
+            total = mp.mpf(0)
+            for h, s_h, big_h in triples:
+                total += mp.cospi(mp.fmod(av * (mp.mpf(s_h) / (6 * k)), 2)
+                                  + mp.mpf((2 * (m * big_h - n * h)) % (2 * k)) / k)
         return 2 * total if k > 2 else total
 
 
@@ -216,12 +216,15 @@ def _term_cutoff(x: mp.mpf) -> int:
     return max(0, int(mp.ceil(x)) - 1)
 
 
+def _ladder_counts(point: CirclePoint, j: int) -> tuple:
+    """Term count per m at ladder index j, rational alpha = a/b, exactly:
+    k < 2 pi mu(m)/delta_j = (j+1) mu(m)/mu(0) holds for the k >= 1 with
+    k^2 a < (j+1)^2 (a - 24mb)."""
+    a, b = point.alpha.rational.numerator, point.alpha.rational.denominator
+    return tuple(isqrt(max((j + 1) ** 2 * (a - 24 * m * b) - 1, 0) // a) for m in range(point.q + 1))
+
+
 # The helpers below run inside the caller's working-precision context.
-
-def _cutoffs(point: CirclePoint, dv: mp.mpf) -> tuple:
-    """Term count per m at truncation dv: the k with 1 <= k < 2 pi mu(m)/dv."""
-    return tuple(_term_cutoff(2 * mp.pi * mu / dv) for mu in point.mus)
-
 
 def _ladder_delta(mu0: mp.mpf, j: int) -> mp.mpf:
     """delta_j = 2 pi mu(0)/(j+1), the truncation with j terms in block m = 0."""
@@ -269,21 +272,20 @@ class _TermCache:
                 if mag > self.max_abs:
                     self.max_abs = mag
 
-    def sum_blocks(self, dv: mp.mpf):
-        """(p_alpha(n; dv), term counts per m).
+    def sum_blocks(self, counts: tuple) -> mp.mpf:
+        """The truncated series with counts[m] terms in block m.
 
         The weighted prefix sums of the m-blocks are added in m ascending
         order and the total is divided by nu^order.
         """
         point = self.point
         with self.prec.ctx():
-            counts = _cutoffs(point, dv)
             total = mp.mpf(0)
             for m, count in enumerate(counts):
                 if count:
                     self.ensure(m, count)
                     total += point.weights[m] * self.prefix[m][count]
-            return total / point.nu ** point.order, counts
+            return total / point.nu ** point.order
 
 
 # Least recently used term caches. T5 builds 20 of them and the acceptance
@@ -320,8 +322,9 @@ def _delta_range_check(delta, mu0):
 def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) -> SeriesApproximation:
     """Truncated series p_alpha(n; delta) with certified tail bound.
 
-    Summation order is m ascending then k ascending (and h ascending up to
-    k/2 inside each real Kloosterman sum); reruns are bit-identical.
+    Summation order is m ascending then k ascending (h ascending up to k/2
+    inside each Kloosterman sum of real alpha, an exact integer sum for
+    rational alpha); reruns are bit-identical.
     """
     alpha = as_alpha(alpha)
     cache = _term_cache(alpha, n, prec)
@@ -329,8 +332,9 @@ def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) ->
     with prec.ctx():
         dv = to_mpf(delta)
         _delta_range_check(dv, point.mus[0])
-        value, counts = cache.sum_blocks(dv)
-        return SeriesApproximation(value=value, terms_per_m=counts,
+        # the k with 1 <= k < 2 pi mu(m)/dv, per m
+        counts = tuple(_term_cutoff(2 * mp.pi * mu / dv) for mu in point.mus)
+        return SeriesApproximation(value=cache.sum_blocks(counts), terms_per_m=counts,
                                    tail_bound=_first_form_bound(point, dv, prec))
 
 
@@ -498,10 +502,11 @@ def _escalate(cache: _TermCache, j: int, d: int):
     """Double the working precision from the cache's until the rounding noise
     of p_alpha(n; delta_j), estimated as term count x 10^-digits x max term
     magnitude, is below 1/(4D). Returns (term cache, value)."""
+    counts = _ladder_counts(cache.point, j)
     while True:
         prec = cache.prec
         with prec.ctx():
-            value, counts = cache.sum_blocks(_ladder_delta(cache.point.mus[0], j))
+            value = cache.sum_blocks(counts)
             noise = sum(counts) * mp.mpf(10) ** (-prec.decimal_digits) * max(cache.max_abs, abs(value))
             if noise < to_mpf(Fraction(1, 4 * d)):
                 return cache, value
@@ -539,10 +544,8 @@ def guaranteed_terms(a: int, b: int, n: int) -> int:
     The scan runs on the cached series point exact_value starts from, and
     empirical_min_terms reads the index it records there."""
     cache, _, j = _recovery_setup(a, b, n, 2)
-    point = cache.point
-    with cache.prec.ctx():
-        # translate the ladder index into a total (m, k) term count
-        return sum(_cutoffs(point, _ladder_delta(point.mus[0], j)))
+    # the ladder index as a total (m, k) term count
+    return sum(_ladder_counts(cache.point, j))
 
 
 def empirical_min_terms(a: int, b: int, n: int) -> int:
@@ -559,14 +562,14 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     last_fail = 0
     with cache.prec.ctx():
         for j in range(1, j_guaranteed + 1):
-            value, _ = cache.sum_blocks(_ladder_delta(point.mus[0], j))
+            value = cache.sum_blocks(_ladder_counts(point, j))
             if int(mp.nint(d * value)) != target:
                 last_fail = j
         if last_fail >= j_guaranteed:
             raise ArithmeticError(
                 "rounding failed at the certified term count (n=%d, terms=%d)" % (n, j_guaranteed)
             )
-        return sum(_cutoffs(point, _ladder_delta(point.mus[0], last_fail + 1)))
+        return sum(_ladder_counts(point, last_fail + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -156,12 +156,11 @@ def test_kloosterman_periodic_in_n(n, k):
 _REAL_ALPHAS = ["e", "sqrt(3)", "pi", "1/e", "1/pi", "8*pi", "sqrt(2)/3"]
 
 
+_RATIONAL_ALPHAS = st.builds(lambda a, b: "%d/%d" % (a, b),
+                             st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=12))
+
 _KLOOSTERMAN_INPUTS = dict(
-    alpha_text=st.one_of(
-        st.builds(lambda a, b: "%d/%d" % (a, b),
-                  st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=12)),
-        st.sampled_from(_REAL_ALPHAS),
-    ),
+    alpha_text=st.one_of(_RATIONAL_ALPHAS, st.sampled_from(_REAL_ALPHAS)),
     n=st.integers(min_value=0, max_value=300_000),
     m=st.integers(min_value=0, max_value=1),
     k=st.integers(min_value=1, max_value=700),
@@ -170,14 +169,53 @@ _KLOOSTERMAN_INPUTS = dict(
 
 
 @settings(deadline=None, max_examples=60)
-@given(**_KLOOSTERMAN_INPUTS)
+@given(**dict(_KLOOSTERMAN_INPUTS, alpha_text=st.sampled_from(_REAL_ALPHAS)))
 def test_kloosterman_bit_identical_to_reference(alpha_text, n, m, k, digits):
-    # the integer-residue kernel must round exactly like Fraction phases
+    # for real alpha the kernel must round exactly like Fraction phases
     # with one cospi call per h <= k/2, summed in mpf and doubled for k > 2
     alpha, prec = parse_alpha(alpha_text), Precision(digits)
     got = circle.kloosterman(alpha, n, m, k, prec)
     want = reference_kloosterman_real(alpha, n, m, k, prec)
     assert got._mpf_ == want._mpf_
+
+
+def _assert_within_proved_bound(alpha, n, m, k, prec):
+    """Rational alpha: A_k within half an ulp plus 2^-wp of its exact value.
+
+    The exact value is the half-sum referee at 40 more digits, whose own
+    error (the complex-reference bound below at u' = 2^-wp', rational phases
+    rounded once) is added to the allowance.
+    """
+    got = circle.kloosterman(alpha, n, m, k, prec)
+    fine = Precision(prec.decimal_digits + 40)
+    exact = reference_kloosterman_real(alpha, n, m, k, fine)
+    with prec.ctx():
+        wp = mp.mp.prec
+    with fine.ctx():
+        u = mp.ldexp(1, -mp.mp.prec)
+    with mp.workdps(fine.work_dps + 20):
+        half_ulp = mp.ldexp(1, got._mpf_[2] + got._mpf_[3] - wp - 1) if got else 0
+        referee = k * (2 * mp.pi * u + 2 * u) + k * k * u
+        assert abs(got - exact) <= half_ulp + mp.ldexp(1, -wp) + referee
+
+
+@settings(deadline=None, max_examples=60)
+@given(**dict(_KLOOSTERMAN_INPUTS, alpha_text=_RATIONAL_ALPHAS))
+def test_kloosterman_rational_within_proved_bound(alpha_text, n, m, k, digits):
+    _assert_within_proved_bound(parse_alpha(alpha_text), n, m, k, Precision(digits))
+
+
+@pytest.mark.parametrize("alpha_text, n, m, k, digits", [
+    ("51/7", 9, 0, 1, 60),      # k = 1: one term, residue 0, no doubling
+    ("51/7", 1, 0, 2, 60),      # k = 2: one term, residue P/2 (cos = -1)
+    ("13/3", 4, 1, 2, 200),
+    ("1", 5, 0, 12, 60),        # 3kb = 36, a perfect square
+    ("5/12", 17, 0, 25, 90),    # 3kb = 900
+    ("2", 3, 0, 3, 30),         # 3kb = 9
+    ("301/12", 123_457, 1, 20_011, 60),  # N P = 10005 * 2881584 > 2^34: g = 36
+])
+def test_kloosterman_rational_boundary_cases(alpha_text, n, m, k, digits):
+    _assert_within_proved_bound(parse_alpha(alpha_text), n, m, k, Precision(digits))
 
 
 @settings(deadline=None, max_examples=60)
@@ -366,6 +404,23 @@ def test_recovery_scans_the_ladder_once_per_threshold(monkeypatch):
     assert circle.guaranteed_terms(51, 7, 5) == 22
     assert circle.empirical_min_terms(51, 7, 5) == 7
     assert scans == [Fraction(1, 2 * oracle.denominator(51, 7, 5))]
+
+
+@pytest.mark.parametrize("alpha_text", ["30", "51/2", "100/3", "97", "49", "48", "24", "73/3",
+                                        "51/7", "1", "23", "300/7"])
+def test_ladder_counts_match_the_snapped_cutoffs(alpha_text):
+    # the exact integer count of k^2 a < (j+1)^2 (a - 24mb) is what the
+    # working-precision cutoff 2 pi mu(m)/delta_j gives after its snap to
+    # integers; 24 and 48 have mu(q) = 0, an empty last block
+    a = parse_alpha(alpha_text)
+    for digits in (60, 100):
+        prec = Precision(digits)
+        point = circle.circle_point(a, circle._alpha_floor24(a, prec) + 1, prec)
+        with prec.ctx():
+            for j in [*range(1, 120), 1000, 4095, 65535]:
+                dv = circle._ladder_delta(point.mus[0], j)
+                snapped = tuple(circle._term_cutoff(2 * mp.pi * mu / dv) for mu in point.mus)
+                assert circle._ladder_counts(point, j) == snapped
 
 
 # ---------------------------------------------------------------------------

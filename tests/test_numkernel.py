@@ -19,6 +19,7 @@ from fracpart.numkernel import (
     Precision,
     as_alpha,
     bessel_i,
+    cos_sum,
     mpf_to_fraction,
     parse_alpha,
     to_mpf,
@@ -464,6 +465,53 @@ def test_bessel_domain_errors(nu, z, message):
     # non-finite input: test_bessel_rejects_non_finite_input
     with pytest.raises(DomainError, match=message):
         bessel_i(nu, z)
+
+
+# ---------------------------------------------------------------------------
+# cosine sums over a table of roots of unity
+# ---------------------------------------------------------------------------
+
+def _assert_cos_sum_within_bound(residues, period, prec):
+    # cos_sum's proved bound: half an ulp of the result plus 2^-(wp+1) of
+    # the exact sum, here mpmath's cospi summed at 40 more digits (whose own
+    # error is far below the 2^-(wp+1) slack left by typical inputs)
+    value = cos_sum(residues, period, prec)
+    with prec.ctx():
+        wp = mp.mp.prec
+    with mp.workdps(prec.work_dps + 40):
+        exact = mp.fsum(mp.cospi(mp.mpf(2 * r) / period) for r in residues)
+        half_ulp = mp.ldexp(1, value._mpf_[2] + value._mpf_[3] - wp - 1) if value else 0
+        assert abs(value - exact) <= half_ulp + mp.ldexp(1, -wp - 1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    quarter=st.integers(min_value=1, max_value=200_000),
+    residues=st.lists(st.integers(min_value=-10 ** 7, max_value=10 ** 7), max_size=80),
+    digits=st.integers(min_value=30, max_value=200),
+)
+def test_cos_sum_within_proved_bound(quarter, residues, digits):
+    _assert_cos_sum_within_bound(residues, 4 * quarter, Precision(digits))
+
+
+@pytest.mark.parametrize("period", [4, 12, 36, 144, 2_881_584])
+def test_cos_sum_quadrant_edges(period):
+    # r = 0, P/2 fold onto omega^0 and are exact; P/4 and 3P/4 give cos = 0
+    # within the bound; residues outside [0, P) reduce mod P
+    half, quarter = period // 2, period // 4
+    assert cos_sum([0, period, -period], period) == 3
+    assert cos_sum([half, -half, 3 * half], period) == -3
+    assert cos_sum([0, half], period) == 0
+    edges = [0, quarter, half, 3 * quarter, period - 1, 1, quarter + 1, half - 1]
+    _assert_cos_sum_within_bound(edges, period, DEFAULT_PRECISION)
+    _assert_cos_sum_within_bound([quarter, 3 * quarter, -quarter], period, Precision(120))
+
+
+def test_cos_sum_refuses_a_period_not_a_multiple_of_four():
+    for period in (0, -4, 2, 6, 30):
+        with pytest.raises(DomainError):
+            cos_sum([1], period)
+    assert cos_sum([], 8) == 0
 
 
 # ---------------------------------------------------------------------------
