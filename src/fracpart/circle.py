@@ -437,32 +437,18 @@ def recovery_delta(a: int, b: int, n: int, prec: Precision = DEFAULT_PRECISION) 
         return min(delta, cap)
 
 
-def _decimal_digits(d: int) -> int:
-    """len(str(d)) for d >= 1, counted from d.bit_length(): str() refuses
-    ints above 4300 digits under Python's default limit."""
-    digits = (d.bit_length() - 1) * 301029995 // 10 ** 9 + 1  # 0.301029995 < log10(2)
-    while d >= 10 ** digits:
-        digits += 1
-    return digits
-
-
-_RECOVERY_FLOOR = Precision(decimal_digits=60)
-
-
 def _recovery_setup(a: int, b: int, n: int, share: int):
     """(term cache, D, ladder index j at tail bound < 1/(share D)) for
-    p_{a/b}(n). The cache's precision is max(60, digits(D) + 20); above 60 a
-    scan the cache has not recorded runs at 60 digits first, so that j past
-    _LADDER_CAP is refused before any Bessel term at the full precision."""
+    p_{a/b}(n). One scan at 60 digits finds j, kept in that cache's ladder
+    dict: the bound multiplies and divides positive factors, so more digits
+    move it by about 1e-68 relative, and j past _LADDER_CAP is refused before
+    any Bessel term. _escalate alone sets the working precision."""
     alpha = _recovery_alpha(a, b, n)
     d = oracle.denominator(a, b, n)
     threshold = Fraction(1, share * d)
-    prec = Precision(decimal_digits=max(_RECOVERY_FLOOR.decimal_digits, _decimal_digits(d) + 20))
-    cache = _term_cache(alpha, n, prec)
+    cache = _term_cache(alpha, n, DEFAULT_PRECISION)
     if threshold not in cache.ladder:
-        if prec != _RECOVERY_FLOOR:
-            _ladder_scan(circle_point(alpha, n, _RECOVERY_FLOOR), threshold, _RECOVERY_FLOOR)
-        cache.ladder[threshold] = _ladder_scan(cache.point, threshold, prec)
+        cache.ladder[threshold] = _ladder_scan(cache.point, threshold, DEFAULT_PRECISION)
     return cache, d, cache.ladder[threshold]
 
 
@@ -499,28 +485,33 @@ def _ladder_scan(point: CirclePoint, threshold: Fraction, prec: Precision) -> in
 
 
 def _escalate(cache: _TermCache, j: int, d: int):
-    """Double the working precision from the cache's until the rounding noise
-    of p_alpha(n; delta_j), estimated as term count x 10^-digits x max term
+    """The only code that sets a recovery precision. It starts at
+    max(60, bits(D) * 0.30103 + 21) digits, which is digits(D) + 20 or one
+    more (0.30103 > log10 2), and doubles until the rounding noise of
+    p_alpha(n; delta_j), estimated as term count x 10^-digits x max term
     magnitude, is below 1/(4D). Returns (term cache, value)."""
-    counts = _ladder_counts(cache.point, j)
+    point = cache.point
+    counts = _ladder_counts(point, j)
+    digits = max(DEFAULT_PRECISION.decimal_digits, d.bit_length() * 30103 // 100000 + 21)
     while True:
-        prec = cache.prec
+        prec = Precision(decimal_digits=digits)
+        cache = _term_cache(point.alpha, point.n, prec)
         with prec.ctx():
             value = cache.sum_blocks(counts)
-            noise = sum(counts) * mp.mpf(10) ** (-prec.decimal_digits) * max(cache.max_abs, abs(value))
+            noise = sum(counts) * mp.mpf(10) ** (-digits) * max(cache.max_abs, abs(value))
             if noise < to_mpf(Fraction(1, 4 * d)):
                 return cache, value
-        cache = _term_cache(cache.point.alpha, cache.point.n,
-                            Precision(decimal_digits=prec.decimal_digits * 2))
+        digits *= 2
 
 
 def exact_value(a: int, b: int, n: int) -> Fraction:
     """Exact p_{a/b}(n) by rounding D * p_alpha(n; delta), no oracle involved.
 
     Policy: D = denominator(a, b, n); evaluation point is the coarsest ladder
-    delta_j = 2 pi mu0/(j+1) whose first-form tail bound is < 1/(4D); working
-    precision starts at max(60, digits(D) + 20) and doubles until the rounding
-    noise estimate (term count x 10^-digits x max term magnitude) is < 1/(4D).
+    delta_j = 2 pi mu0/(j+1) whose first-form tail bound is < 1/(4D), found
+    once at 60 digits; working precision, set by _escalate alone, starts at
+    max(60, digits(D) + 20 or 21) and doubles until the rounding noise
+    estimate (term count x 10^-digits x max term magnitude) is < 1/(4D).
     The tail bound is proved but the noise is an estimate, not a bound, so the
     rounding is only as safe as that estimate. The closed-form delta (see
     recovery_delta) also meets the tail condition but implies astronomically

@@ -1,7 +1,6 @@
 """Dedekind sums, Kloosterman sums, the truncated series, tail bounds,
 exact recovery, asymptotics, and the functional-equation residual."""
 
-import sys
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -229,13 +228,16 @@ def test_kloosterman_within_rounding_of_complex_reference(alpha_text, n, m, k, d
     rational alpha). s(k-h,k) = -s(h,k) and H(k-h) = k - H(h) give
     phi_(k-h) = -phi_h mod 2, so S = sum_h exp(i pi phi_h) is real.
 
-    - Phase. K and R use the same rounded phase t_h (the referees share it,
-      and K matches the half-sum referee bit for bit). For rational alpha
-      t_h is phi_h in [0, 2) rounded once: |t_h - phi_h| <= 2u. For real
-      alpha, s(h,k) (|s| < k/12) rounds within uk/12, its product with av
-      within av k u/6 (1 + u), the exact-then-rounded mod 2 and the
-      rational part (both in [0, 2)) within 2u each, and their sum (< 4)
-      within 4u. So |t_h - phi_h mod 2| <= E = u (av k/6 + 9) for both.
+    - Phase. For real alpha K and R use the same rounded phase t_h (the
+      referees share it, and K matches the half-sum referee bit for bit):
+      s(h,k) (|s| < k/12) rounds within uk/12, its product with av within
+      av k u/6 (1 + u), the exact-then-rounded mod 2 and the rational part
+      (both in [0, 2)) within 2u each, and their sum (< 4) within 4u. For
+      rational alpha R's t_h is phi_h in [0, 2) rounded once:
+      |t_h - phi_h| <= 2u. So |t_h - phi_h mod 2| <= E = u (av k/6 + 9).
+      For rational alpha K takes no rounded phase: its half sum is
+      cos_sum's exact integer sum of cosines, rounded once, within half an
+      ulp plus u of S/2, then doubled, so |K - S| <= u (k + 2) <= B below.
     - Cosine and sine. mpmath's cospi and sinpi are taken to be within one
       unit in the last place, 2u for values of modulus <= 1. With
       |cos pi t - cos pi phi| <= pi |t - phi|, each term is within
@@ -389,21 +391,42 @@ def test_term_cache_is_a_bounded_lru():
     assert _series_hits_cache(b, 5, circle.m_term_delta(b, 1))
 
 
-def test_recovery_scans_the_ladder_once_per_threshold(monkeypatch):
-    # guaranteed_terms and empirical_min_terms both need the index at 1/(2D);
-    # the term cache keeps it, so the second call does not scan again
+def _counted_scans(monkeypatch):
+    """The (threshold, digits) of every ladder scan from here on."""
     scans = []
     scan = circle._ladder_scan
 
-    def counted(*args):
-        scans.append(args[1])
-        return scan(*args)
+    def counted(point, threshold, prec):
+        scans.append((threshold, prec.decimal_digits))
+        return scan(point, threshold, prec)
 
     monkeypatch.setattr(circle, "_ladder_scan", counted)
     circle.clear_caches()
+    return scans
+
+
+def test_recovery_scans_the_ladder_once_per_threshold(monkeypatch):
+    # guaranteed_terms and empirical_min_terms both need the index at 1/(2D);
+    # the term cache keeps it, so the second call does not scan again
+    scans = _counted_scans(monkeypatch)
     assert circle.guaranteed_terms(51, 7, 5) == 22
     assert circle.empirical_min_terms(51, 7, 5) == 7
-    assert scans == [Fraction(1, 2 * oracle.denominator(51, 7, 5))]
+    assert scans == [(Fraction(1, 2 * oracle.denominator(51, 7, 5)), 60)]
+
+
+@pytest.mark.parametrize("a,b,n,m,m_star", [
+    (479, 2, 70, 23, 23),  # D has 42 digits; escalates 62 -> 124
+    (479, 7, 45, 59, 50),  # D has 44 digits; escalates 64 -> 128
+])
+def test_recovery_scans_at_60_digits_when_d_sets_a_higher_start(monkeypatch, a, b, n, m, m_star):
+    # digits(D) + 20 is above 60 here, but each threshold is still scanned
+    # once, at 60 digits; only _escalate works at the higher precision
+    scans = _counted_scans(monkeypatch)
+    assert circle.exact_value(a, b, n) == oracle.coeffs(Fraction(a, b), n).values[n]
+    assert circle.guaranteed_terms(a, b, n) == m
+    assert circle.empirical_min_terms(a, b, n) == m_star
+    d = oracle.denominator(a, b, n)
+    assert scans == [(Fraction(1, 4 * d), 60), (Fraction(1, 2 * d), 60)]
 
 
 @pytest.mark.parametrize("alpha_text", ["30", "51/2", "100/3", "97", "49", "48", "24", "73/3",
@@ -719,23 +742,12 @@ def test_exact_value_reports_infeasible_cases():
     # exceed the ladder cap; the contract is an error, not a wrong answer.
     # The last index the doubling scan probes is 2^19; n = 21 needs 570 517
     # (1/(2D)) and 690 088 (1/(4D)). At n = 6000 D has about 5 900 digits:
-    # the scan at the 60-digit floor refuses it before any Bessel term at
-    # full precision.
+    # the one scan, at 60 digits, refuses it before _escalate computes any
+    # series term.
     for n in (21, 30, 6000):
         for routine in (circle.exact_value, circle.guaranteed_terms, circle.empirical_min_terms):
             with pytest.raises(ArithmeticError, match="within 524288 ladder steps"):
                 routine(51, 7, n)
-
-
-def test_decimal_digits_matches_str():
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # unlimited, for str() of the 5000-digit cases
-    try:
-        for j in range(1, 5001):
-            for d in (10 ** j - 1, 10 ** j, 10 ** j + 1):
-                assert circle._decimal_digits(d) == len(str(d))
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def test_guaranteed_terms_frozen_scan():
