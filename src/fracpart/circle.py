@@ -19,8 +19,8 @@ and the truncated series
 
 whose distance from p_alpha(n) is certified by tail_bound. A_k is real, and
 so is every sum. Summation is in canonical order (m ascending, k ascending;
-inside A_k, h <= k/2 ascending for real alpha and an exact integer sum of
-cosines for rational alpha) so identical inputs give bit-identical results.
+inside A_k, an exact integer sum of the cosines of h <= k/2, rounded once)
+so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from fracpart.numkernel import (
     as_alpha,
     bessel_i,
     cos_sum,
+    phase_sum,
     to_mpf,
 )
 
@@ -119,12 +120,12 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
 
     With S_h = 6k s(h,k), an integer from the reciprocity descent, the phase
     over pi for rational alpha = a/b is r/(6kb) with the integer residue
-    r = a S_h + 12b(m H - n h) mod 12kb, so cos_sum adds the cosines exactly
-    on integers and rounds once: A_k is within half an ulp plus 2^-wp of its
-    exact value, wp the working precision in bits. For real alpha the
-    irrational part alpha S_h/(6k) is reduced mod 2 at working precision, the
-    rational part 2(m H - n h)/k mod 2 is rounded once, and the cosines are
-    summed in h ascending order.
+    r = a S_h + 12b(m H - n h) mod 12kb, and cos_sum adds the cosines. For
+    real alpha the phase is pi alpha S_h/(6k) + 2 pi r/k with
+    r = m H - n h mod k, and phase_sum adds the cosines from powers of
+    exp(i pi alpha/(6k)) and exp(2 pi i/k). Either kernel sums exactly on
+    integers and rounds once: A_k is within half an ulp plus 2^-wp of its
+    exact value, wp the working precision in bits.
     """
     alpha = as_alpha(alpha)
     if k < 1:
@@ -138,11 +139,7 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
             total = cos_sum([a * s_h + 12 * b * (m * big_h - n * h) for h, s_h, big_h in triples],
                             12 * k * b, prec)
         else:
-            av = alpha.value_at(prec)
-            total = mp.mpf(0)
-            for h, s_h, big_h in triples:
-                total += mp.cospi(mp.fmod(av * (mp.mpf(s_h) / (6 * k)), 2)
-                                  + mp.mpf((2 * (m * big_h - n * h)) % (2 * k)) / k)
+            total = phase_sum(alpha, k, [(s_h, m * big_h - n * h) for h, s_h, big_h in triples], prec)
         return 2 * total if k > 2 else total
 
 
@@ -154,15 +151,17 @@ def kloosterman(alpha, n: int, m: int, k: int, prec: Precision = DEFAULT_PRECISI
 class CirclePoint:
     """Fixed data of the series at (alpha, n) and one working precision.
 
-    av is alpha at working precision, order = av/2 + 1, mus the ladder
-    mu(0..q), weights the products mu(m)^order p_alpha(m) for the oracle
-    prefix p_alpha(0..q) and c the tail constant C. A truncation delta only
-    moves the k-cutoffs, so every series routine reads these fields.
+    av is alpha at working precision, order = av/2 + 1, nu_order the
+    series' divisor nu^order, mus the ladder mu(0..q), weights the products
+    mu(m)^order p_alpha(m) for the oracle prefix p_alpha(0..q) and c the tail
+    constant C. A truncation delta only moves the k-cutoffs, so every series
+    routine reads these fields.
     """
 
     alpha: AlphaValue
     n: int
     nu: mp.mpf
+    nu_order: mp.mpf
     q: int
     mus: tuple
     av: mp.mpf
@@ -199,8 +198,9 @@ def circle_point(alpha, n: int, prec: Precision = DEFAULT_PRECISION) -> CirclePo
         weights = tuple(mu ** order * to_mpf(p) for mu, p in zip(mus, pm))
         c = 4 * mp.pi ** 2 * (1 + 2 / av) * mus[0] * sum(weights, mp.mpf(0))
         nu = mp.sqrt(n - av / 24)
-    return CirclePoint(alpha=alpha, n=n, nu=nu, q=q, mus=mus, av=av, order=order,
-                       weights=weights, c=c)
+        nu_order = nu ** order
+    return CirclePoint(alpha=alpha, n=n, nu=nu, nu_order=nu_order, q=q, mus=mus, av=av,
+                       order=order, weights=weights, c=c)
 
 
 def _term_cutoff(x: mp.mpf) -> int:
@@ -233,7 +233,7 @@ def _ladder_delta(mu0: mp.mpf, j: int) -> mp.mpf:
 
 def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision) -> mp.mpf:
     """The first-form tail bound (C/delta) I_order(2 delta nu) / nu^order."""
-    return (point.c / dv) * bessel_i(point.order, 2 * dv * point.nu, prec) / point.nu ** point.order
+    return (point.c / dv) * bessel_i(point.order, 2 * dv * point.nu, prec) / point.nu_order
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ class _TermCache:
         with prec.ctx():
             two_pi = 2 * mp.pi
             base = 4 * mp.pi * point.nu * point.mus[m]
-            scale = point.weights[m] / point.nu ** point.order
+            scale = point.weights[m] / point.nu_order
             for k in range(len(prefix), count + 1):
                 ak = kloosterman(point.alpha, point.n, m, k, prec)
                 t = (two_pi / k) * ak * bessel_i(point.order, base / k, prec)
@@ -285,7 +285,7 @@ class _TermCache:
                 if count:
                     self.ensure(m, count)
                     total += point.weights[m] * self.prefix[m][count]
-            return total / point.nu ** point.order
+            return total / point.nu_order
 
 
 # Least recently used term caches. T5 builds 20 of them and the acceptance
@@ -322,9 +322,8 @@ def _delta_range_check(delta, mu0):
 def partial_series(alpha, n: int, delta, prec: Precision = DEFAULT_PRECISION) -> SeriesApproximation:
     """Truncated series p_alpha(n; delta) with certified tail bound.
 
-    Summation order is m ascending then k ascending (h ascending up to k/2
-    inside each Kloosterman sum of real alpha, an exact integer sum for
-    rational alpha); reruns are bit-identical.
+    Summation order is m ascending then k ascending (each Kloosterman sum
+    an exact integer sum, rounded once); reruns are bit-identical.
     """
     alpha = as_alpha(alpha)
     cache = _term_cache(alpha, n, prec)

@@ -1,15 +1,17 @@
 """Arbitrary-precision numeric kernel.
 
 Precision policy, exact<->float conversions, the real-order modified Bessel
-function I_nu, sums of cosines at rational multiples of 2 pi, and the
-one-pass parser (one regex scan, one recursive descent) for alpha expressions
-such as "51/7", "sqrt(3)", "1/e", "0.01".
+function I_nu, sums of cosines at rational multiples of 2 pi and at the
+phases of real-alpha Kloosterman sums, and the one-pass parser (one regex
+scan, one recursive descent) for alpha expressions such as "51/7",
+"sqrt(3)", "1/e", "0.01".
 
 I_nu sums its ascending series on Python ints: exact term ratios, a scale
 relative to the largest term, and a stop rule that bounds the tail, so the
 series factor has a proved error bound (bessel_i). cos_sum reads each cosine
-from one baby-step/giant-step table of roots of unity on Python ints and sums
-them exactly, also with a proved bound. Everything else is done
+from one baby-step/giant-step table of roots of unity on Python ints and
+phase_sum from two such tables, one of them of powers of an irrational
+root; both sum exactly, also with proved bounds. Everything else is done
 with mpmath at an explicit working precision; every public operation takes a
 Precision and restores the global mpmath state on exit (mp.workdps context),
 so callers never see precision leakage.
@@ -24,7 +26,7 @@ from functools import lru_cache
 from math import isqrt
 
 import mpmath as mp
-from mpmath.libmp import from_rational, mpf_cos_sin_pi, round_nearest, to_fixed
+from mpmath.libmp import from_int, from_rational, mpf_cos_sin_pi, mpf_div, round_nearest, to_fixed
 
 
 class DomainError(ValueError):
@@ -125,9 +127,13 @@ class AlphaValue:
 
     def value_at(self, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
         with prec.ctx():
-            if self.rational is not None:
-                return to_mpf(self.rational)
-            return _eval_ast(self._ast)
+            return self._value()
+
+    def _value(self) -> mp.mpf:
+        """alpha at the current mpmath precision."""
+        if self.rational is not None:
+            return to_mpf(self.rational)
+        return _eval_ast(self._ast)
 
     def __str__(self):
         return self.text
@@ -322,6 +328,28 @@ def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
         return first * mp.mpf((total, exp))
 
 
+def _powers(base, count: int, w: int) -> list:
+    """[2^w, b, b^2, ..., b^count] for the complex fixed-point base b = (br, bi)
+    of scale 2^w: each power is the last one times b, every part floored to w
+    bits."""
+    table = [(1 << w, 0)]
+    br, bi = base
+    for _ in range(count):
+        xr, xi = table[-1]
+        table.append(((xr * br - xi * bi) >> w, (xr * bi + xi * br) >> w))
+    return table
+
+
+def _root_tables(x: tuple, step: int, top: int, w: int) -> tuple:
+    """(baby, giant) for beta = exp(i pi x), x an mpf value tuple: baby[j] ~
+    2^w beta^j for j <= step and giant[i] ~ 2^w beta^(step i) for
+    i <= top // step, from one mpf_cos_sin_pi of x at w + 10 bits floored to w
+    bits. beta^(step i + j) is read as giant[i] baby[j] / 2^2w."""
+    c, s = mpf_cos_sin_pi(x, w + 10, round_nearest)
+    baby = _powers((to_fixed(c, w), to_fixed(s, w)), step, w)
+    return baby, _powers(baby[step], top // step, w)
+
+
 def cos_sum(residues, period: int, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     """Sum of cos(2 pi r / P) over the integers r in residues, for a period P
     that is a positive multiple of 4, rounded once to wp = mp.prec bits of
@@ -366,20 +394,9 @@ def cos_sum(residues, period: int, prec: Precision = DEFAULT_PRECISION) -> mp.mp
     with prec.ctx():
         wp = mp.mp.prec
         w = wp + ((len(plus) + len(minus)) * period).bit_length() + 1
-        x = from_rational(2, period, w + 10, round_nearest)
-        c, s = mpf_cos_sin_pi(x, w + 10, round_nearest)
         step = isqrt(quarter) + 1
-
-        def powers(base, count):
-            table = [(1 << w, 0)]
-            br, bi = base
-            for _ in range(count):
-                xr, xi = table[-1]
-                table.append(((xr * br - xi * bi) >> w, (xr * bi + xi * br) >> w))
-            return table
-
-        baby = powers((to_fixed(c, w), to_fixed(s, w)), step)
-        giant = powers(baby[step], max(plus + minus, default=0) // step)
+        baby, giant = _root_tables(from_rational(2, period, w + 10, round_nearest), step,
+                                   max(plus + minus, default=0), w)
 
         def re_sum(folded):
             acc = 0
@@ -390,3 +407,86 @@ def cos_sum(residues, period: int, prec: Precision = DEFAULT_PRECISION) -> mp.mp
 
         total = re_sum(plus) - re_sum(minus)
         return mp.mpf((total, -2 * w))
+
+
+@lru_cache(maxsize=16)
+def _alpha_at(alpha: AlphaValue, bits: int) -> tuple:
+    """alpha's mpf value tuple with every operation of its expression rounded
+    to bits bits; phase_sum asks for few distinct bits per working precision."""
+    with mp.workprec(bits):
+        return alpha._value()._mpf_
+
+
+def phase_sum(alpha, k: int, pairs, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
+    """Sum of cos(pi alpha S / (6k) + 2 pi r / k) over the integer pairs
+    (S, r) for a real alpha > 0 and k >= 1, rounded once to wp = mp.prec bits
+    of work_dps. The cosine is Re(u^S zeta^r) for u = exp(i pi alpha / (6k))
+    and zeta = exp(2 pi i / k); only u and zeta are rounded.
+
+    r is reduced mod k. Let s = max |S| and t = max r over the N pairs. u and
+    zeta each come from one mpf_cos_sin_pi, of x = alpha / (6k) and of 2/k,
+    at W + 10 bits, W = wp + g; alpha is read at A >= W + 13 + bits(T) bits,
+    T the byte length of its text. Baby-step/giant-step tables of u^e,
+    e <= s, and zeta^e, e <= t, on Python ints are built as in cos_sum (steps
+    isqrt(s) + 1 and isqrt(t) + 1). A pair reads U = Y_i X_j ~ 2^2W u^|S|,
+    |S| = Bi + j, takes its conjugate when S < 0, reads Z ~ 2^2W zeta^r the
+    same way and adds Re(U Z) / 2^4W. The sum is exact on ints and rounded
+    once. A table that is not needed (s = 0 or t = 0) is 1, exactly.
+
+    Proved error, in units of 2^-W (while s k < 2^(W - 24), far past any table
+    that fits in memory). Every mpmath operation is taken to be within one
+    unit in the last place.
+    - Alpha. Each byte of alpha's text carries at most two of the roundings
+      of its expression (a literal: numerator and quotient; e, pi, sqrt and
+      an operator: one). They compose as factors (1 + d)^e, |e| <= 1 (a
+      quotient or a sqrt) and |d| <= 2^(1 - A), so alpha is read within
+      relative 8T 2^-A <= 2^-(W + 10) and x within relative 2^-(W + 8).
+      With x' the rounded x and u' = exp(i pi x'),
+      |u^S - u'^S| <= |S| pi x 2^-(W + 8) < alpha s / (256 k) units.
+    - Tables. The base of u' is within 3/2 of 2^W u' (each part within
+      1 + 2^-9: one unit in the last place at W + 10 bits, then floored);
+      that of zeta within 3/2 of 2^W zeta (2/k rounded at W + 10 bits moves
+      2 pi / k by under 2^-(W + 7.9), and not at all for k <= 2, so each
+      part is within 1 + 2^-7). With cos_sum's table bounds U is within
+      4|S| and Z within 4r units (at scale 2^2W, a unit being 2^W) of
+      2^2W u'^|S| and 2^2W zeta^r, so U Z is within
+      4|S| (1 + 4r 2^-W) + 4r <= 4(|S| + r) + 1 units (at scale 2^4W) of
+      2^4W u'^S zeta^r.
+    - Sum. Each term is within M = 4(s + t) + 1 + alpha s / (256 k) units of
+      its exact cosine and the N terms within N M. g is the bit length of
+      N M' plus one for an integer M' >= M (alpha bounded above by a power
+      of two from a 64-bit read of it), so N M 2^-W < 2^-(wp + 1).
+    The result is within half an ulp plus 2^-(wp + 1) of the exact sum, in
+    whatever order pairs come.
+    """
+    alpha = as_alpha(alpha)
+    if k < 1:
+        raise DomainError("phase_sum requires k >= 1")
+    pairs = [(big_s, r % k) for big_s, r in pairs]
+    with prec.ctx():
+        if not pairs:
+            return mp.mpf(0)
+        s_top = max(abs(big_s) for big_s, _ in pairs)
+        t_top = max(r for _, r in pairs)
+        bound = 4 * (s_top + t_top) + 2
+        if s_top:
+            _, _, exp, bc = _alpha_at(alpha, 64)  # alpha < 2^(exp + bc + 1)
+            bound += (s_top << max(exp + bc + 1, 0)) // (256 * k)
+        w = mp.mp.prec + (len(pairs) * bound).bit_length() + 1
+        unit = [(1 << w, 0)]
+        u_step, z_step = isqrt(s_top) + 1, isqrt(t_top) + 1
+        u_baby = u_giant = z_baby = z_giant = unit
+        if s_top:
+            bits = -(-(w + 13 + len(alpha.text.encode()).bit_length()) // 64) * 64
+            x = mpf_div(_alpha_at(alpha, bits), from_int(6 * k), w + 10, round_nearest)
+            u_baby, u_giant = _root_tables(x, u_step, s_top, w)
+        if t_top:
+            z_baby, z_giant = _root_tables(from_rational(2, k, w + 10, round_nearest), z_step, t_top, w)
+        total = 0
+        for big_s, r in pairs:
+            (yr, yi), (xr, xi) = u_giant[abs(big_s) // u_step], u_baby[abs(big_s) % u_step]
+            ur, ui = yr * xr - yi * xi, yr * xi + yi * xr
+            (yr, yi), (xr, xi) = z_giant[r // z_step], z_baby[r % z_step]
+            zr, zi = yr * xr - yi * xi, yr * xi + yi * xr
+            total += ur * zr - ui * zi if big_s >= 0 else ur * zr + ui * zi
+        return mp.mpf((total, -4 * w))

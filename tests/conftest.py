@@ -15,14 +15,14 @@ cospi/sinpi calls, an mpc sum over all h; an mpf series loop).
 reference_kloosterman_real sums the same phases' cosines over h <= k/2 only,
 doubled when k > 2. reference_series_bessel_i runs bessel_i's documented
 integer series over Fractions, importing nothing from the library. The
-library's kernels must reproduce reference_kloosterman_real for real alpha
-and reference_series_bessel_i bit for bit, stay within a derived rounding
-bound of reference_kloosterman, whose imaginary part is the check that the
-conjugate symmetry behind the half sum holds, and bessel_i within its stated
-error bound (bessel_error_bound) of reference_bessel_i and mp.besseli. For
-rational alpha, kloosterman sums its cosines exactly on integers (cos_sum),
-so it must lie within cos_sum's proved bound of reference_kloosterman_real
-run at 40 more digits.
+library's kernels must reproduce reference_series_bessel_i bit for bit, stay
+within a derived rounding bound of reference_kloosterman, whose imaginary
+part is the check that the conjugate symmetry behind the half sum holds, and
+bessel_i within its stated error bound (bessel_error_bound) of
+reference_bessel_i and mp.besseli. kloosterman sums its cosines exactly on
+integers (cos_sum for rational alpha, phase_sum for real alpha), so it must
+lie within their proved bound of reference_kloosterman_real run at 40 more
+digits.
 
 reference_rational_coeffs is the divisor-sum recurrence over Fractions, one
 gcd per step, sharing no code with the library's scaled-integer loop. It

@@ -167,23 +167,16 @@ _KLOOSTERMAN_INPUTS = dict(
 )
 
 
-@settings(deadline=None, max_examples=60)
-@given(**dict(_KLOOSTERMAN_INPUTS, alpha_text=st.sampled_from(_REAL_ALPHAS)))
-def test_kloosterman_bit_identical_to_reference(alpha_text, n, m, k, digits):
-    # for real alpha the kernel must round exactly like Fraction phases
-    # with one cospi call per h <= k/2, summed in mpf and doubled for k > 2
-    alpha, prec = parse_alpha(alpha_text), Precision(digits)
-    got = circle.kloosterman(alpha, n, m, k, prec)
-    want = reference_kloosterman_real(alpha, n, m, k, prec)
-    assert got._mpf_ == want._mpf_
-
-
 def _assert_within_proved_bound(alpha, n, m, k, prec):
-    """Rational alpha: A_k within half an ulp plus 2^-wp of its exact value.
+    """A_k within half an ulp plus 2^-wp of its exact value.
 
     The exact value is the half-sum referee at 40 more digits, whose own
-    error (the complex-reference bound below at u' = 2^-wp', rational phases
-    rounded once) is added to the allowance.
+    error (the complex-reference bound below at u' = 2^-wp') is added to the
+    allowance. Its phases are within E' of exact: 2u' for rational alpha,
+    rounded once; for real alpha u'(alpha k/6 + 9) from the rounded phase
+    arithmetic plus (2/3) T alpha k u' from alpha itself, read within
+    relative 8T u' (T bytes of text, two roundings of one ulp at most per
+    byte) and multiplied by |s(h,k)| < k/12.
     """
     got = circle.kloosterman(alpha, n, m, k, prec)
     fine = Precision(prec.decimal_digits + 40)
@@ -193,9 +186,33 @@ def _assert_within_proved_bound(alpha, n, m, k, prec):
     with fine.ctx():
         u = mp.ldexp(1, -mp.mp.prec)
     with mp.workdps(fine.work_dps + 20):
+        phase = 2 * u
+        if alpha.rational is None:
+            av = alpha.value_at(fine)
+            phase = u * (av * k * (mp.mpf(1) / 6 + len(alpha.text.encode())) + 9)
         half_ulp = mp.ldexp(1, got._mpf_[2] + got._mpf_[3] - wp - 1) if got else 0
-        referee = k * (2 * mp.pi * u + 2 * u) + k * k * u
+        referee = k * (mp.pi * phase + 2 * u) + k * k * u
         assert abs(got - exact) <= half_ulp + mp.ldexp(1, -wp) + referee
+
+
+@settings(deadline=None, max_examples=60)
+@given(**dict(_KLOOSTERMAN_INPUTS, alpha_text=st.sampled_from(_REAL_ALPHAS)))
+def test_kloosterman_real_within_proved_bound(alpha_text, n, m, k, digits):
+    _assert_within_proved_bound(parse_alpha(alpha_text), n, m, k, Precision(digits))
+
+
+@pytest.mark.parametrize("alpha_text, n, m, k, digits", [
+    ("e", 9, 0, 1, 60),           # k = 1: S = 0, r = 0, no table, no doubling
+    ("pi", 1, 0, 2, 60),          # k = 2: S = 0, r = 1 (cos = -1)
+    ("sqrt(3)", 4, 0, 7, 60),     # k = 7: S_3 = -3, read as a conjugate
+    ("1/e", 17, 1, 9, 90),        # k = 9: S_4 = -8
+    ("e", 123_457, 1, 700, 200),  # k = 700 at 200 digits: max |S| = 243 951
+    ("8*pi", 10_001, 1, 13, 60),  # alpha > 24 with m = 1
+    ("8*pi", 99_999, 1, 3, 30),   # x = alpha / (6k) above 1, at 30 digits
+    ("sqrt(2)/3", 5, 0, 31, 60),  # a chained expression, several roundings
+])
+def test_kloosterman_real_boundary_cases(alpha_text, n, m, k, digits):
+    _assert_within_proved_bound(parse_alpha(alpha_text), n, m, k, Precision(digits))
 
 
 @settings(deadline=None, max_examples=60)
@@ -228,16 +245,20 @@ def test_kloosterman_within_rounding_of_complex_reference(alpha_text, n, m, k, d
     rational alpha). s(k-h,k) = -s(h,k) and H(k-h) = k - H(h) give
     phi_(k-h) = -phi_h mod 2, so S = sum_h exp(i pi phi_h) is real.
 
-    - Phase. For real alpha K and R use the same rounded phase t_h (the
-      referees share it, and K matches the half-sum referee bit for bit):
+    - Phase. For real alpha R's rounded phase t_h is built from av:
       s(h,k) (|s| < k/12) rounds within uk/12, its product with av within
       av k u/6 (1 + u), the exact-then-rounded mod 2 and the rational part
       (both in [0, 2)) within 2u each, and their sum (< 4) within 4u. For
       rational alpha R's t_h is phi_h in [0, 2) rounded once:
       |t_h - phi_h| <= 2u. So |t_h - phi_h mod 2| <= E = u (av k/6 + 9).
-      For rational alpha K takes no rounded phase: its half sum is
-      cos_sum's exact integer sum of cosines, rounded once, within half an
-      ulp plus u of S/2, then doubled, so |K - S| <= u (k + 2) <= B below.
+    - K takes no rounded phase: its half sum is cos_sum's or phase_sum's
+      exact integer sum of cosines, rounded once, within half an ulp plus u
+      of the exact half sum for alpha itself, then doubled, so it is within
+      u (k + 2) of that sum. For rational alpha that sum is S. For real
+      alpha av, two roundings at most for the alphas drawn here, is within
+      relative 2u (1 + u) of alpha; with |s(h,k)| < k/12 that moves each of
+      the k terms by at most pi av k u/6 (1 + 4u), so again
+      |K - S| <= u (k + 2) + pi av k^2 u/6 (1 + 4u) <= B below.
     - Cosine and sine. mpmath's cospi and sinpi are taken to be within one
       unit in the last place, 2u for values of modulus <= 1. With
       |cos pi t - cos pi phi| <= pi |t - phi|, each term is within

@@ -22,6 +22,7 @@ from fracpart.numkernel import (
     cos_sum,
     mpf_to_fraction,
     parse_alpha,
+    phase_sum,
     to_mpf,
 )
 
@@ -512,6 +513,48 @@ def test_cos_sum_refuses_a_period_not_a_multiple_of_four():
         with pytest.raises(DomainError):
             cos_sum([1], period)
     assert cos_sum([], 8) == 0
+
+
+def _assert_phase_sum_within_bound(alpha_text, k, pairs, prec):
+    # phase_sum's proved bound: half an ulp of the result plus 2^-(wp+1) of
+    # the exact sum, here mpmath's cos summed at 40 more digits from alpha
+    # read there (whose own error is far below the 2^-(wp+1) slack)
+    value = phase_sum(alpha_text, k, pairs, prec)
+    fine = Precision(prec.decimal_digits + 40)
+    av = parse_alpha(alpha_text).value_at(fine)
+    with prec.ctx():
+        wp = mp.mp.prec
+    with fine.ctx():
+        exact = mp.fsum(mp.cos(mp.pi * av * s / (6 * k) + 2 * mp.pi * r / k) for s, r in pairs)
+        half_ulp = mp.ldexp(1, value._mpf_[2] + value._mpf_[3] - wp - 1) if value else 0
+        assert abs(value - exact) <= half_ulp + mp.ldexp(1, -wp - 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    alpha_text=st.sampled_from(["e", "sqrt(3)", "pi", "1/e", "8*pi", "sqrt(2)/3", "51/7"]),
+    k=st.integers(min_value=1, max_value=2000),
+    pairs=st.lists(st.tuples(st.integers(min_value=-10 ** 7, max_value=10 ** 7),
+                             st.integers(min_value=-10 ** 6, max_value=10 ** 6)), max_size=40),
+    digits=st.integers(min_value=30, max_value=200),
+)
+def test_phase_sum_within_proved_bound(alpha_text, k, pairs, digits):
+    # S far past the Dedekind range |S| < k^2/2, r outside [0, k), both signs
+    _assert_phase_sum_within_bound(alpha_text, k, pairs, Precision(digits))
+
+
+def test_phase_sum_exact_cases_and_refusals():
+    # S = 0 with k <= 2 needs no u, and zeta = -1 is exact: an exact integer
+    assert phase_sum("e", 1, [(0, 0), (0, 5)]) == 2
+    assert phase_sum("pi", 2, [(0, 1), (0, 3), (0, 0)]) == -1
+    # zeta^3 = -1 for k = 6 comes from rounded tables, but within less than
+    # half an ulp of -1
+    assert phase_sum("pi", 6, [(0, 3)]) == -1
+    assert phase_sum("e", 5, []) == 0
+    for k in (0, -3):
+        with pytest.raises(DomainError):
+            phase_sum("e", k, [(1, 1)])
+    _assert_phase_sum_within_bound("e", 4, [(0, 1), (0, 3)], Precision(120))  # cos = 0
 
 
 # ---------------------------------------------------------------------------
