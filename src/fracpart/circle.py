@@ -252,7 +252,6 @@ class _TermCache:
         self.point = point
         self.prec = prec
         self.prefix = [[mp.mpf(0)] for _ in range(point.q + 1)]  # sums of t(m, 1..k)
-        self.max_abs = mp.mpf(0)  # largest |scaled contribution| seen
         self.ladder = {}  # threshold -> smallest ladder index whose tail bound is below it
 
     def ensure(self, m: int, count: int):
@@ -263,14 +262,10 @@ class _TermCache:
         with prec.ctx():
             two_pi = 2 * mp.pi
             base = 4 * mp.pi * point.nu * point.mus[m]
-            scale = point.weights[m] / point.nu_order
             for k in range(len(prefix), count + 1):
                 ak = kloosterman(point.alpha, point.n, m, k, prec)
                 t = (two_pi / k) * ak * bessel_i(point.order, base / k, prec)
                 prefix.append(prefix[-1] + t)
-                mag = abs(t) * abs(scale)
-                if mag > self.max_abs:
-                    self.max_abs = mag
 
     def sum_blocks(self, counts: tuple) -> mp.mpf:
         """The truncated series with counts[m] terms in block m.
@@ -441,7 +436,8 @@ def _recovery_setup(a: int, b: int, n: int, share: int):
     p_{a/b}(n). One scan at 60 digits finds j, kept in that cache's ladder
     dict: the bound multiplies and divides positive factors, so more digits
     move it by about 1e-68 relative, and j past _LADDER_CAP is refused before
-    any Bessel term. _escalate alone sets the working precision."""
+    any Bessel term. _sum_at_recovery_precision alone sets the working
+    precision, reading only the k = 1 terms of this cache."""
     alpha = _recovery_alpha(a, b, n)
     d = oracle.denominator(a, b, n)
     threshold = Fraction(1, share * d)
@@ -483,24 +479,25 @@ def _ladder_scan(point: CirclePoint, threshold: Fraction, prec: Precision) -> in
         return hi
 
 
-def _escalate(cache: _TermCache, j: int, d: int):
-    """The only code that sets a recovery precision. It starts at
-    max(60, bits(D) * 0.30103 + 21) digits, which is digits(D) + 20 or one
-    more (0.30103 > log10 2), and doubles until the rounding noise of
-    p_alpha(n; delta_j), estimated as term count x 10^-digits x max term
-    magnitude, is below 1/(4D). Returns (term cache, value)."""
+def _sum_at_recovery_precision(cache: _TermCache, j: int, d: int):
+    """(term cache, p_alpha(n; delta_j)) at the one recovery precision, set
+    before any term is built at it. A_1 = 1, |A_k| <= phi(k) < k for k >= 2
+    and I_order increases, so no term exceeds the k = 1 term of its block:
+    the largest scaled term t1 = max |weights[m] t(m, 1)| / nu^order comes
+    from the k = 1 terms of the 60-digit cache, and |value| <= c t1 for c
+    terms. digits = max(60, floor(log10(4 D c^2 t1)) + 1) then puts the
+    rounding-noise estimate c 10^-digits max(t1, |value|) below 1/(4D)."""
     point = cache.point
     counts = _ladder_counts(point, j)
-    digits = max(DEFAULT_PRECISION.decimal_digits, d.bit_length() * 30103 // 100000 + 21)
-    while True:
-        prec = Precision(decimal_digits=digits)
-        cache = _term_cache(point.alpha, point.n, prec)
-        with prec.ctx():
-            value = cache.sum_blocks(counts)
-            noise = sum(counts) * mp.mpf(10) ** (-digits) * max(cache.max_abs, abs(value))
-            if noise < to_mpf(Fraction(1, 4 * d)):
-                return cache, value
-        digits *= 2
+    blocks = [m for m, count in enumerate(counts) if count]
+    with cache.prec.ctx():
+        for m in blocks:
+            cache.ensure(m, 1)
+        t1 = max(abs(point.weights[m] * cache.prefix[m][1]) for m in blocks) / point.nu_order
+        digits = max(DEFAULT_PRECISION.decimal_digits,
+                     int(mp.floor(mp.log10(4 * d * sum(counts) ** 2 * t1))) + 1)
+    cache = _term_cache(point.alpha, point.n, Precision(decimal_digits=digits))
+    return cache, cache.sum_blocks(counts)
 
 
 def exact_value(a: int, b: int, n: int) -> Fraction:
@@ -508,16 +505,16 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
 
     Policy: D = denominator(a, b, n); evaluation point is the coarsest ladder
     delta_j = 2 pi mu0/(j+1) whose first-form tail bound is < 1/(4D), found
-    once at 60 digits; working precision, set by _escalate alone, starts at
-    max(60, digits(D) + 20 or 21) and doubles until the rounding noise
-    estimate (term count x 10^-digits x max term magnitude) is < 1/(4D).
-    The tail bound is proved but the noise is an estimate, not a bound, so the
-    rounding is only as safe as that estimate. The closed-form delta (see
-    recovery_delta) also meets the tail condition but implies astronomically
-    many terms; the ladder delta meets it with the sharper first bound form.
+    once at 60 digits; working precision, set once from the k = 1 terms by
+    _sum_at_recovery_precision, puts the rounding noise estimate (term count
+    x 10^-digits x largest term) below 1/(4D). The tail bound is proved but
+    the noise is an estimate, not a bound, so the rounding is only as safe as
+    that estimate. The closed-form delta (see recovery_delta) also meets the
+    tail condition but implies astronomically many terms; the ladder delta
+    meets it with the sharper first bound form.
     """
     cache, d, j = _recovery_setup(a, b, n, 4)
-    cache, value = _escalate(cache, j, d)
+    cache, value = _sum_at_recovery_precision(cache, j, d)
     with cache.prec.ctx():
         dv_scaled = d * value
         r = int(mp.nint(dv_scaled))
@@ -545,9 +542,9 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     cache, d, j_guaranteed = _recovery_setup(a, b, n, 2)
     # an integer: the oracle's checked recurrence raises if D does not clear p(n)
     target = int(oracle.coeffs(cache.point.alpha, n).values[n] * d)
-    # escalate precision exactly like exact_value so rounding reflects
-    # truncation error, not floating noise
-    cache, _ = _escalate(cache, j_guaranteed, d)
+    # the precision rule of exact_value, so rounding reflects truncation
+    # error, not floating noise
+    cache, _ = _sum_at_recovery_precision(cache, j_guaranteed, d)
     point = cache.point
     last_fail = 0
     with cache.prec.ctx():

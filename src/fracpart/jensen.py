@@ -66,9 +66,9 @@ def default_values(alpha: AlphaValue, n: int, d: int, prec: Precision):
     """p_alpha(n..n+d) plus a certified error bound per value.
 
     Rational alpha: the exact oracle recurrence (ints for integer alpha,
-    Fractions otherwise), error 0; for alpha = 1 it beats exact recovery of
-    the d + 1 values at the n measured, and recovery needs exponentially many
-    terms in n when b > 1.
+    Fractions otherwise), error 0; for alpha = 1 exact recovery of the four
+    values p(n..n+3) ties with it at n = 10 000 and beats it at n = 30 000,
+    but recovery needs exponentially many terms in n when b > 1.
     Irrational alpha: the 100-term series truncation, error = its certified
     tail bound.
     """

@@ -436,18 +436,73 @@ def test_recovery_scans_the_ladder_once_per_threshold(monkeypatch):
 
 
 @pytest.mark.parametrize("a,b,n,m,m_star", [
-    (479, 2, 70, 23, 23),  # D has 42 digits; escalates 62 -> 124
-    (479, 7, 45, 59, 50),  # D has 44 digits; escalates 64 -> 128
+    (479, 2, 70, 23, 23),  # D has 42 digits; recovery runs at 121 digits
+    (479, 7, 45, 59, 50),  # D has 44 digits; recovery runs at 84 digits
 ])
 def test_recovery_scans_at_60_digits_when_d_sets_a_higher_start(monkeypatch, a, b, n, m, m_star):
-    # digits(D) + 20 is above 60 here, but each threshold is still scanned
-    # once, at 60 digits; only _escalate works at the higher precision
+    # the recovery precision is above 60 here, but each threshold is still
+    # scanned once, at 60 digits; only _sum_at_recovery_precision builds
+    # terms at the higher precision
     scans = _counted_scans(monkeypatch)
     assert circle.exact_value(a, b, n) == oracle.coeffs(Fraction(a, b), n).values[n]
     assert circle.guaranteed_terms(a, b, n) == m
     assert circle.empirical_min_terms(a, b, n) == m_star
     d = oracle.denominator(a, b, n)
     assert scans == [(Fraction(1, 4 * d), 60), (Fraction(1, 2 * d), 60)]
+
+
+def _largest_first_term(point, counts):
+    """max over the blocks with terms of |weights[m] t(m, 1)| / nu^order,
+    t(m, 1) = 2 pi I_order(4 pi nu mu(m)) since A_1 = 1; at 60 digits."""
+    with DEFAULT_PRECISION.ctx():
+        return max(abs(point.weights[m] * 2 * mp.pi
+                       * bessel_i(point.order, 4 * mp.pi * point.nu * point.mus[m]))
+                   for m, count in enumerate(counts) if count) / point.nu_order
+
+
+@pytest.mark.parametrize("a,b,n,m,m_star,digits", [
+    (20, 1, 240, 5, 5, 65),  # D = 1, a 63-digit value
+    (479, 7, 45, 59, 50, 84),  # D has 44 digits
+])
+def test_recovery_builds_full_terms_at_one_precision(monkeypatch, a, b, n, m, m_star, digits):
+    # digits = max(60, floor(log10(4 D c^2 t1)) + 1) from the k = 1 terms of
+    # the 60-digit cache; full terms are built at that precision only
+    circle.clear_caches()
+    calls = []
+    term_cache = circle._term_cache
+
+    def recorded(alpha, n, prec):
+        calls.append(prec.decimal_digits)
+        return term_cache(alpha, n, prec)
+
+    monkeypatch.setattr(circle, "_term_cache", recorded)
+    assert circle.exact_value(a, b, n) == oracle.coeffs(Fraction(a, b), n).values[n]
+    assert circle.empirical_min_terms(a, b, n) == m_star
+    assert set(calls) == {60, digits}
+    assert circle.guaranteed_terms(a, b, n) == m
+    low = term_cache(parse_alpha("%d/%d" % (a, b)), n, DEFAULT_PRECISION)
+    assert all(len(prefix) <= 2 for prefix in low.prefix)  # only k = 1 terms at 60 digits
+    d = oracle.denominator(a, b, n)
+    for threshold in low.ladder:
+        counts = circle._ladder_counts(low.point, low.ladder[threshold])
+        t1 = _largest_first_term(low.point, counts)
+        with DEFAULT_PRECISION.ctx():
+            assert max(60, int(mp.floor(mp.log10(4 * d * sum(counts) ** 2 * t1))) + 1) == digits
+
+
+@pytest.mark.parametrize("alpha_text", ["1", "5/2", "51/7", "32", "49/2", "sqrt(3)", "e"])
+def test_largest_series_term_is_a_first_term(alpha_text):
+    # the premise of the recovery precision: A_1 = 1, |A_k| <= phi(k) < k for
+    # k >= 2 and I_order increases, so over 300 terms per block the largest
+    # scaled term |weights[m] t(m, k)| / nu^order is a k = 1 term
+    a = parse_alpha(alpha_text)
+    for n in (2, 40, 600):
+        point = circle.circle_point(a, n)
+        with DEFAULT_PRECISION.ctx():
+            scaled = {(m, k): abs(point.weights[m] * (2 * mp.pi / k) * circle.kloosterman(a, n, m, k)
+                                  * bessel_i(point.order, 4 * mp.pi * point.nu * point.mus[m] / k))
+                      for m in range(point.q + 1) for k in range(1, 301)}
+        assert max(scaled.values()) == max(scaled[m, 1] for m in range(point.q + 1))
 
 
 @pytest.mark.parametrize("alpha_text", ["30", "51/2", "100/3", "97", "49", "48", "24", "73/3",
@@ -720,6 +775,10 @@ def test_exact_value_integer_alpha_cross_route():
     # denominator 1: recovery must land on the oracle integers
     assert circle.exact_value(2, 1, 30) == oracle.coeffs(2, 30).values[30] == 589128
     assert circle.exact_value(5, 1, 20) == oracle.coeffs(5, 20).values[20] == 16313440
+    # values of 188 (a = 1) and 267 (a = 2) digits: recovery runs at 193 and
+    # 271 digits
+    for a in (1, 2):
+        assert circle.exact_value(a, 1, 30000) == oracle.coeffs(a, 30000).values[30000]
     # alpha >= 24 (q >= 1): the weight mu(1)^order p(1) and the m = 1 block
     # enter the series
     for a, b, ns in ((32, 1, (2, 5, 30)), (49, 2, (6, 12)), (97, 3, (4, 8))):
@@ -763,8 +822,8 @@ def test_exact_value_reports_infeasible_cases():
     # exceed the ladder cap; the contract is an error, not a wrong answer.
     # The last index the doubling scan probes is 2^19; n = 21 needs 570 517
     # (1/(2D)) and 690 088 (1/(4D)). At n = 6000 D has about 5 900 digits:
-    # the one scan, at 60 digits, refuses it before _escalate computes any
-    # series term.
+    # the one scan, at 60 digits, refuses it before any series term is
+    # computed.
     for n in (21, 30, 6000):
         for routine in (circle.exact_value, circle.guaranteed_terms, circle.empirical_min_terms):
             with pytest.raises(ArithmeticError, match="within 524288 ladder steps"):
