@@ -36,6 +36,7 @@ from fracpart import oracle
 from fracpart.numkernel import (
     DEFAULT_PRECISION,
     AlphaValue,
+    BesselFamily,
     DomainError,
     Precision,
     as_alpha,
@@ -231,9 +232,13 @@ def _ladder_delta(mu0: mp.mpf, j: int) -> mp.mpf:
     return 2 * mp.pi * mu0 / (j + 1)
 
 
-def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision) -> mp.mpf:
-    """The first-form tail bound (C/delta) I_order(2 delta nu) / nu^order."""
-    return (point.c / dv) * bessel_i(point.order, 2 * dv * point.nu, prec) / point.nu_order
+def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision, bessel=None) -> mp.mpf:
+    """The first-form tail bound (C/delta) I_order(2 delta nu) / nu^order.
+    bessel_i gives I_order for a user-given delta; the ladder scan passes in
+    its own value, a member of a term cache's m = 0 family."""
+    if bessel is None:
+        bessel = bessel_i(point.order, 2 * dv * point.nu, prec)
+    return (point.c / dv) * bessel / point.nu_order
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +253,38 @@ def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision) -> mp.mpf
 # precision), together with the ladder index each recovery threshold needs.
 
 class _TermCache:
+    """The prefix sums of t(m, k) per m-block, and the ladder index of each
+    recovery threshold. The Bessel values of block m are the members
+    I_order(4 pi nu mu(m) / k) of one BesselFamily, whose first term the
+    cache keeps; each ensure builds that family's coefficient table once and
+    drops it when it returns."""
+
     def __init__(self, point: CirclePoint, prec: Precision):
         self.point = point
         self.prec = prec
         self.prefix = [[mp.mpf(0)] for _ in range(point.q + 1)]  # sums of t(m, 1..k)
         self.ladder = {}  # threshold -> smallest ladder index whose tail bound is below it
+        self.families = {}  # m -> BesselFamily of base 4 pi nu mu(m)
+
+    def family(self, m: int) -> BesselFamily:
+        if m not in self.families:
+            point = self.point
+            with self.prec.ctx():
+                base = 4 * mp.pi * point.nu * point.mus[m]
+            self.families[m] = BesselFamily(point.order, base, self.prec)
+        return self.families[m]
 
     def ensure(self, m: int, count: int):
         prefix = self.prefix[m]
         if len(prefix) > count:
             return
         point, prec = self.point, self.prec
+        bessel = self.family(m).members(len(prefix), count)
         with prec.ctx():
             two_pi = 2 * mp.pi
-            base = 4 * mp.pi * point.nu * point.mus[m]
             for k in range(len(prefix), count + 1):
                 ak = kloosterman(point.alpha, point.n, m, k, prec)
-                t = (two_pi / k) * ak * bessel_i(point.order, base / k, prec)
+                t = (two_pi / k) * ak * bessel(k)
                 prefix.append(prefix[-1] + t)
 
     def sum_blocks(self, counts: tuple) -> mp.mpf:
@@ -436,30 +456,36 @@ def _recovery_setup(a: int, b: int, n: int, share: int):
     p_{a/b}(n). One scan at 60 digits finds j, kept in that cache's ladder
     dict: the bound multiplies and divides positive factors, so more digits
     move it by about 1e-68 relative, and j past _LADDER_CAP is refused before
-    any Bessel term. _sum_at_recovery_precision alone sets the working
-    precision, reading only the k = 1 terms of this cache."""
+    any series term. _recovery_cache alone sets the working precision,
+    reading only the k = 1 terms of this cache."""
     alpha = _recovery_alpha(a, b, n)
     d = oracle.denominator(a, b, n)
     threshold = Fraction(1, share * d)
     cache = _term_cache(alpha, n, DEFAULT_PRECISION)
     if threshold not in cache.ladder:
-        cache.ladder[threshold] = _ladder_scan(cache.point, threshold, DEFAULT_PRECISION)
+        cache.ladder[threshold] = _ladder_scan(cache, threshold)
     return cache, d, cache.ladder[threshold]
 
 
 _LADDER_CAP = 2 ** 19  # largest ladder index the scan tries
 
 
-def _ladder_scan(point: CirclePoint, threshold: Fraction, prec: Precision) -> int:
+def _ladder_scan(cache: _TermCache, threshold: Fraction) -> int:
     """Smallest ladder index j (delta_j = 2 pi mu0 / (j+1)) whose first-form
     tail bound is below threshold. Every term of (C/delta) I(2 delta nu) is a
     positive power of delta, so the bound strictly decreases as j grows;
-    bracket the crossing by doubling and bisect for the minimal index."""
+    bracket the crossing by doubling and bisect for the minimal index.
+    I_order(2 delta_j nu) = I_order(4 pi nu mu(0) / (j+1)) is member j + 1
+    of the cache's m = 0 family, read from one coefficient table that is
+    dropped when the scan returns."""
+    point, prec = cache.point, cache.prec
+    bessel = cache.family(0).members(2)
     with prec.ctx():
         limit = to_mpf(threshold)
 
         def clears(j):
-            return _first_form_bound(point, _ladder_delta(point.mus[0], j), prec) < limit
+            dv = _ladder_delta(point.mus[0], j)
+            return _first_form_bound(point, dv, prec, bessel(j + 1)) < limit
 
         hi = 1
         while not clears(hi):
@@ -479,14 +505,15 @@ def _ladder_scan(point: CirclePoint, threshold: Fraction, prec: Precision) -> in
         return hi
 
 
-def _sum_at_recovery_precision(cache: _TermCache, j: int, d: int):
-    """(term cache, p_alpha(n; delta_j)) at the one recovery precision, set
+def _recovery_cache(cache: _TermCache, j: int, d: int) -> _TermCache:
+    """The term cache at the one recovery precision of ladder index j, set
     before any term is built at it. A_1 = 1, |A_k| <= phi(k) < k for k >= 2
     and I_order increases, so no term exceeds the k = 1 term of its block:
     the largest scaled term t1 = max |weights[m] t(m, 1)| / nu^order comes
     from the k = 1 terms of the 60-digit cache, and |value| <= c t1 for c
     terms. digits = max(60, floor(log10(4 D c^2 t1)) + 1) then puts the
-    rounding-noise estimate c 10^-digits max(t1, |value|) below 1/(4D)."""
+    rounding-noise estimate c 10^-digits max(t1, |value|) below 1/(4D), and
+    below it for every smaller index too."""
     point = cache.point
     counts = _ladder_counts(point, j)
     blocks = [m for m, count in enumerate(counts) if count]
@@ -496,8 +523,7 @@ def _sum_at_recovery_precision(cache: _TermCache, j: int, d: int):
         t1 = max(abs(point.weights[m] * cache.prefix[m][1]) for m in blocks) / point.nu_order
         digits = max(DEFAULT_PRECISION.decimal_digits,
                      int(mp.floor(mp.log10(4 * d * sum(counts) ** 2 * t1))) + 1)
-    cache = _term_cache(point.alpha, point.n, Precision(decimal_digits=digits))
-    return cache, cache.sum_blocks(counts)
+    return _term_cache(point.alpha, point.n, Precision(decimal_digits=digits))
 
 
 def exact_value(a: int, b: int, n: int) -> Fraction:
@@ -506,15 +532,16 @@ def exact_value(a: int, b: int, n: int) -> Fraction:
     Policy: D = denominator(a, b, n); evaluation point is the coarsest ladder
     delta_j = 2 pi mu0/(j+1) whose first-form tail bound is < 1/(4D), found
     once at 60 digits; working precision, set once from the k = 1 terms by
-    _sum_at_recovery_precision, puts the rounding noise estimate (term count
-    x 10^-digits x largest term) below 1/(4D). The tail bound is proved but
+    _recovery_cache, puts the rounding noise estimate (term count x
+    10^-digits x largest term) below 1/(4D). The tail bound is proved but
     the noise is an estimate, not a bound, so the rounding is only as safe as
     that estimate. The closed-form delta (see recovery_delta) also meets the
     tail condition but implies astronomically many terms; the ladder delta
     meets it with the sharper first bound form.
     """
     cache, d, j = _recovery_setup(a, b, n, 4)
-    cache, value = _sum_at_recovery_precision(cache, j, d)
+    cache = _recovery_cache(cache, j, d)
+    value = cache.sum_blocks(_ladder_counts(cache.point, j))
     with cache.prec.ctx():
         dv_scaled = d * value
         r = int(mp.nint(dv_scaled))
@@ -542,10 +569,13 @@ def empirical_min_terms(a: int, b: int, n: int) -> int:
     cache, d, j_guaranteed = _recovery_setup(a, b, n, 2)
     # an integer: the oracle's checked recurrence raises if D does not clear p(n)
     target = int(oracle.coeffs(cache.point.alpha, n).values[n] * d)
-    # the precision rule of exact_value, so rounding reflects truncation
-    # error, not floating noise
-    cache, _ = _sum_at_recovery_precision(cache, j_guaranteed, d)
+    # exact_value's precision, so that rounding reflects truncation error,
+    # not floating noise, and a --report-terms query builds its terms once:
+    # the 1/(4D) index has at least the terms of the guaranteed one
+    cache = _recovery_cache(cache, _recovery_setup(a, b, n, 4)[2], d)
     point = cache.point
+    for m, count in enumerate(_ladder_counts(point, j_guaranteed)):
+        cache.ensure(m, count)
     last_fail = 0
     with cache.prec.ctx():
         for j in range(1, j_guaranteed + 1):

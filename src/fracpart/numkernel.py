@@ -8,10 +8,12 @@ scan, one recursive descent) for alpha expressions such as "51/7",
 
 I_nu sums its ascending series on Python ints: exact term ratios, a scale
 relative to the largest term, and a stop rule that bounds the tail, so the
-series factor has a proved error bound (bessel_i). cos_sum reads each cosine
-from one baby-step/giant-step table of roots of unity on Python ints and
-phase_sum from two such tables, one of them of powers of an irrational
-root; both sum exactly, also with proved bounds. Everything else is done
+series factor has a proved error bound (bessel_i). A BesselFamily reads every
+I_nu(z/k) of one order from that series' terms, one Horner pass each, with
+the same bound. cos_sum reads each cosine from one baby-step/giant-step
+table of roots of unity on Python ints and phase_sum from two such tables,
+one of them of powers of an irrational root; both sum exactly, also with
+proved bounds. Everything else is done
 with mpmath at an explicit working precision; every public operation takes a
 Precision and restores the global mpmath state on exit (mp.workdps context),
 so callers never see precision leakage.
@@ -20,10 +22,11 @@ so callers never see precision leakage.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log2
 
 import mpmath as mp
 from mpmath.libmp import from_int, from_rational, mpf_cos_sin_pi, mpf_div, round_nearest, to_fixed
@@ -243,14 +246,248 @@ def parse_alpha(text: str) -> AlphaValue:
 
 @lru_cache(maxsize=32)
 def _gamma_plus_one(nu: tuple, wp: int) -> mp.mpf:
-    """Gamma(nu + 1) at wp bits for the mpf bits nu: every term of a series
-    cache takes bessel_i of the same order at the same precision."""
+    """Gamma(nu + 1) at wp bits for the mpf bits nu: every family of a series
+    cache, and every direct bessel_i call of its order, takes the same one."""
     with mp.workprec(wp):
         return mp.gamma(mp.mpf(nu) + 1)
 
 
+def _least_prime_factor(k: int) -> int:
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            return p
+        p += 1 + (p > 2)
+    return k
+
+
+class BesselFamily:
+    """The modified Bessel functions I_nu(z/k), k = 1, 2, ..., of one finite
+    order nu > 0 and base argument z >= 0, at one working precision.
+
+    I_nu(z/k) = t0 k^-nu F(z/k) with t0 = (z/2)^nu / Gamma(nu+1), computed
+    once, and F(z/k) = sum_j c_j k^(-2j), c_j = (z/2)^(2j) / (j! (nu+1)_j).
+    The family keeps t0 and nothing else. members() builds the coefficient
+    table and a memo of k^-nu: one mpf power per prime, and per composite
+    the product of two memo entries, k = p (k/p) for the least prime p
+    dividing k. Both are freed with the function members() returns.
+
+    The table is bessel_i's series for I_nu(z): c_j = r_1 ... r_j,
+    r_j = a / d_j, held as T_j 2^e_j. The k = 1 member is that loop's own sum
+    and stop, so bessel_i is this member, bit for bit. A member k >= 2 is one
+    Horner pass over the table on Python ints, from its own stop K down:
+    H_K = T_K, H_j = T_j + floor(H_(j+1) / k^2), F = H_0. H is held at a
+    floating scale 2^E: T_j is brought to it (floored where it is coarser
+    than 2^e_j), and after each step H is shifted back to L to L + 7 bits,
+    L = W + bits(k^2) + 1 (exactly to the left, floored to the right).
+
+    Let p be the number of j >= 1 with d_j k^2 <= a, so the member's term p
+    is its largest. K is the first j >= p with
+    (T_j + j) a 10^work_dps 2^(e_j - e_p) < (d_(j+1) k^2 - a) T_p k^(2(j-p)),
+    decided on integers.
+    - Past p this test, once true, stays true. From j to j + 1 its right side
+      grows by k^2 (d_(j+2) k^2 - a) / (d_(j+1) k^2 - a) > k^2 (j+2)/(j+1).
+      Its left side grows by at most max(r_(j+1), 2) (r_1 + 2^-W at j = 0),
+      or r_(j+1) (1 + (j+1) 2^-W) where the scale shifts, and r_(j+1) < k^2.
+    - A higher member's test holds wherever a lower one's does. Its right
+      side is larger by k^2 per power, and T_p 2^e_p k^(-2p) only grows from
+      the lower member's p down to its own, since floors never raise a term
+      and r_j < k^2 there.
+    So a member stops no later than any lower one. The table stores the
+    entries up to the stop of its lowest member l >= 2, found as the loop
+    runs, which covers every member. Each other member searches down from
+    the stop of the nearest lower member read, by doubling steps and then
+    bisection.
+
+    Proved error of F for k >= 2. Every table term is low, and T_j falls
+    short of its exact term by less than j units plus 2j 2^-W of it
+    (bessel_i). A unit of 2^e_j at index j is at most 2^-W k^(2j) F: up to
+    the last j with T_j >= 2^W it is 2^-W of a term, and past it the scale
+    stops moving while the terms fall. Each step of the pass floors at most
+    three times, each by less than a unit of 2^E. H // k^2 keeps at least
+    2^W units, and the computed H_j is at most the exact
+    sum_(i>=j) c_i k^(-2(i-j)), so that unit too is at most 2^-W k^(2j) F.
+    So the table costs less than (K(K+1)/2 + 2K) 2^-W of F and the pass
+    less than 3K 2^-W. The tail past K is at most its term K, below
+    (T_K + K) 2^e_K k^-2K (1 + 4K 2^-W), times rho/(1 - rho) for
+    rho = a / (d_(K+1) k^2), since the ratios fall. The stop test puts that
+    below 10^-work_dps (1 + 4K 2^-W) of the member's term p, which is below
+    F. So the computed factor is never high, and it is low by less than
+    10^-work_dps + 2 (K+1)^2 2^-W of F, as in bessel_i. The factor is
+    rounded once to wp bits and multiplied by t0 k^-nu. The error of that
+    first term is not proved, as in bessel_i; the memo's powers and products
+    fall under the same caveat.
+    """
+
+    def __init__(self, nu, z, prec: Precision = DEFAULT_PRECISION):
+        self.prec = prec
+        self._a = None  # stays None for z = 0, whose every member is 0
+        with prec.ctx(5):
+            nuv = to_mpf(nu)
+            zv = to_mpf(z)
+            if not (mp.isfinite(nuv) and mp.isfinite(zv)):
+                raise DomainError("bessel_i requires finite nu and z")
+            if nuv <= 0:
+                raise DomainError("bessel_i requires nu > 0")
+            if zv < 0:
+                raise DomainError("bessel_i requires z >= 0")
+            if zv == 0:
+                return
+            self.nu = nuv
+            half = zv / 2
+            self.first = half ** nuv / _gamma_plus_one(nuv._mpf_, mp.mp.prec)
+            # z/2 = hm 2^he and nu = nm 2^ne. With f = max(-ne, 0), nu 2^f is an
+            # integer and r_k = hm^2 2^s / (k (nu + k) 2^f), s = 2 he + f. 2^|s| goes
+            # to the numerator a if s >= 0, else to the denominator: r_k = a / d_k,
+            # d_k = k (n + (k << f_d)) = k (nu + k) 2^f_d
+            _, hm, he, _ = half._mpf_
+            _, nm, ne, _ = nuv._mpf_
+            f = max(-ne, 0)
+            s = 2 * he + f
+            self._a = hm * hm << max(s, 0)
+            self._f_d = f + max(-s, 0)
+            self._n = nm << (ne + self._f_d)
+            self._w = mp.mp.prec + 64
+        self._p10 = 10 ** prec.work_dps
+        self._gate = self._a.bit_length() + self._p10.bit_length() - 2
+
+    def _inv_power(self, k: int, memo: dict) -> mp.mpf:
+        """k^-nu at wp bits, kept in memo with the entries it was built from."""
+        if k not in memo:
+            p = _least_prime_factor(k)
+            memo[k] = mp.mpf(k) ** -self.nu if p == k else self._inv_power(p, memo) * self._inv_power(k // p, memo)
+        return memo[k]
+
+    def _peak(self, k2: int) -> int:
+        """The number of j >= 1 with d_j k^2 <= a, for k2 = k^2."""
+        a, n, u = self._a, self._n, 1 << self._f_d  # d_j = j (n + j u)
+        j = max((isqrt(n * n + 4 * u * (a // k2)) - n) // (2 * u), 0)
+        while (j + 1) * (n + (j + 1) * u) * k2 <= a:
+            j += 1
+        while j and j * (n + j * u) * k2 > a:
+            j -= 1
+        return j
+
+    def _stops(self, k2: int, j: int, p: int, ts: list, exps: list) -> bool:
+        """The stop test of member k (k2 = k^2) at index j >= p, decided on
+        integers. k2^(j-p) has at most (j-p) log2(k2) + 1 bits, so a bound on
+        the bit lengths of the two sides, widened by 2 bits for the float
+        product, rules the test out at most indices before any power."""
+        a, t, peak, shift = self._a, ts[j], ts[p], exps[j] - exps[p]
+        d = (j + 1) * (self._n + ((j + 1) << self._f_d)) * k2
+        if (t.bit_length() + self._gate + shift
+                > d.bit_length() + peak.bit_length() + int((j - p) * log2(k2)) + 3):
+            return False
+        return ((t + j) * a * self._p10 << shift) < (d - a) * peak * k2 ** (j - p)
+
+    def members(self, low: int = 1, high: int | None = None):
+        """The function k -> I_nu(z/k) for low <= k <= high (no upper limit
+        when high is None), at wp = mp.prec bits of work_dps + 5 digits.
+
+        The k = 1 member (low = 1) is bessel_i's loop. A table is built only
+        when a member k >= 2 may be read, up to the stop of the lowest one.
+        """
+        if low < 1 or (high is not None and high < low):
+            raise DomainError("members requires 1 <= low <= high")
+        prec = self.prec
+        if self._a is None:
+            return lambda k: mp.mpf(0)
+        a, n, f_d, w = self._a, self._n, self._f_d, self._w
+        p10, gate = self._p10, self._gate
+        table_low = max(low, 2) if high is None or high >= 2 else None
+        ts, exps = [], []  # T_j and e_j, j <= K of member table_low
+        growing = table_low is not None
+        if growing:
+            low2 = table_low * table_low
+            low_peak = self._peak(low2)
+        # the k = 1 factor (S, exp) once its stop test passes; False when
+        # member 1 is not read
+        one = None if low == 1 else False
+        t = total = 1 << w
+        exp = -w
+        k = 0
+        while True:
+            k += 1
+            d = k * (n + (k << f_d))
+            # bessel_i's stop test for T_{k-1}; the bit lengths of its two
+            # sides, compared first, rule it out at almost every step
+            if (one is None and a < d
+                    and t.bit_length() + gate <= d.bit_length() + total.bit_length()
+                    and (t + k - 1) * a * p10 < (d - a) * total):
+                one = (total, exp)
+                if not growing:
+                    break
+            if growing:
+                ts.append(t)
+                exps.append(exp)
+                if k - 1 >= low_peak and self._stops(low2, k - 1, low_peak, ts, exps):
+                    growing = False
+                    if one is not None:
+                        break
+            t = t * a // d
+            total += t
+            if t.bit_length() > w + 8:
+                drop = t.bit_length() - w - 1
+                t >>= drop
+                total >>= drop
+                exp += drop
+
+        # member -> its stop K. A member's test passes wherever a lower one's
+        # does, so K lies between p and the stop of the nearest lower member
+        # read so far: search down from there, by doubling steps, then bisect
+        stops, read = {}, []
+        inv_powers = {1: mp.mpf(1)}
+        if table_low is not None:
+            stops[table_low] = len(ts) - 1
+            read.append(table_low)
+
+        def member(k: int) -> mp.mpf:
+            if k < low or (high is not None and k > high):
+                raise DomainError("member k outside [%d, %s]" % (low, high))
+            if k == 1:
+                with prec.ctx(5):
+                    return self.first * mp.mpf(one)
+            k2 = k * k
+            p = self._peak(k2)
+            stop = stops[read[bisect_right(read, k) - 1]]
+            below, step = p - 1, 1  # the test fails at below (none at p - 1)
+            while stop - step >= p:
+                if not self._stops(k2, stop - step, p, ts, exps):
+                    below = stop - step
+                    break
+                stop -= step
+                step *= 2
+            while stop - below > 1:
+                mid = (stop + below) // 2
+                if self._stops(k2, mid, p, ts, exps):
+                    stop = mid
+                else:
+                    below = mid
+            if k not in stops:
+                stops[k] = stop
+                insort(read, k)
+            # H at the scale 2^e, renormalized to lo..lo + 7 bits after each
+            # step, so that H // k^2 keeps at least 2^W units
+            lo = w + k2.bit_length() + 1
+            acc, e = ts[stop], exps[stop]
+            for j in range(stop, -1, -1):
+                if j < stop:
+                    shift = e - exps[j]
+                    acc = (ts[j] >> shift if shift >= 0 else ts[j] << -shift) + acc // k2
+                size = acc.bit_length()
+                if size > lo + 7 or size < lo:
+                    acc = acc >> (size - lo) if size > lo else acc << (lo - size)
+                    e += size - lo
+            with prec.ctx(5):
+                return self.first * self._inv_power(k, inv_powers) * mp.mpf((acc, e))
+
+        return member
+
+
 def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
-    """Modified Bessel I_nu(z), finite nu > 0 and z >= 0, by the defining series.
+    """Modified Bessel I_nu(z), finite nu > 0 and z >= 0, by the defining series:
+    the k = 1 member of BesselFamily(nu, z, prec), whose loop is described
+    here.
 
     I_nu(z) = t0 F with first term t0 = (z/2)^nu / Gamma(nu+1) and series
     factor F = sum_{k>=0} t_k, t_0 = 1, t_k = t_{k-1} r_k, where
@@ -280,52 +517,7 @@ def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     nu and wp) whose error is not proved. With t0 exact the relative error
     would be below 10^-work_dps + 4 2^-wp (K < 2^31).
     """
-    with prec.ctx(5):
-        nuv = to_mpf(nu)
-        zv = to_mpf(z)
-        if not (mp.isfinite(nuv) and mp.isfinite(zv)):
-            raise DomainError("bessel_i requires finite nu and z")
-        if nuv <= 0:
-            raise DomainError("bessel_i requires nu > 0")
-        if zv < 0:
-            raise DomainError("bessel_i requires z >= 0")
-        if zv == 0:
-            return mp.mpf(0)
-        half = zv / 2
-        first = half ** nuv / _gamma_plus_one(nuv._mpf_, mp.mp.prec)
-        # z/2 = hm 2^he and nu = nm 2^ne. With f = max(-ne, 0), nu 2^f is an
-        # integer and r_k = hm^2 2^s / (k (nu + k) 2^f), s = 2 he + f. 2^|s| goes
-        # to the numerator a if s >= 0, else to the denominator: r_k = a / d_k,
-        # d_k = k (n + (k << f_d)) = k (nu + k) 2^f_d
-        _, hm, he, _ = half._mpf_
-        _, nm, ne, _ = nuv._mpf_
-        f = max(-ne, 0)
-        s = 2 * he + f
-        a = hm * hm << max(s, 0)
-        f_d = f + max(-s, 0)
-        n = nm << (ne + f_d)
-        w = mp.mp.prec + 64
-        p10 = 10 ** prec.work_dps
-        gate = a.bit_length() + p10.bit_length() - 2
-        t = total = 1 << w
-        exp = -w
-        k = 0
-        while True:
-            k += 1
-            d = k * (n + (k << f_d))
-            # the stop test for T_{k-1}; the bit lengths of its two sides,
-            # compared first, rule it out at almost every step
-            if (a < d and t.bit_length() + gate <= d.bit_length() + total.bit_length()
-                    and (t + k - 1) * a * p10 < (d - a) * total):
-                break
-            t = t * a // d
-            total += t
-            if t.bit_length() > w + 8:
-                drop = t.bit_length() - w - 1
-                t >>= drop
-                total >>= drop
-                exp += drop
-        return first * mp.mpf((total, exp))
+    return BesselFamily(nu, z, prec).members(1, 1)(1)
 
 
 def _powers(base, count: int, w: int) -> list:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_kloosterman, reference_kloosterman_real
 from fracpart import circle, oracle
-from fracpart.numkernel import DEFAULT_PRECISION, DomainError, Precision, bessel_i, parse_alpha, to_mpf
+from fracpart.numkernel import DEFAULT_PRECISION, DomainError, Precision, as_alpha, bessel_i, parse_alpha, to_mpf
 
 
 def coprime_pairs():
@@ -417,9 +417,9 @@ def _counted_scans(monkeypatch):
     scans = []
     scan = circle._ladder_scan
 
-    def counted(point, threshold, prec):
-        scans.append((threshold, prec.decimal_digits))
-        return scan(point, threshold, prec)
+    def counted(cache, threshold):
+        scans.append((threshold, cache.prec.decimal_digits))
+        return scan(cache, threshold)
 
     monkeypatch.setattr(circle, "_ladder_scan", counted)
     circle.clear_caches()
@@ -428,11 +428,15 @@ def _counted_scans(monkeypatch):
 
 def test_recovery_scans_the_ladder_once_per_threshold(monkeypatch):
     # guaranteed_terms and empirical_min_terms both need the index at 1/(2D);
-    # the term cache keeps it, so the second call does not scan again
+    # the term cache keeps it, so the second call does not scan again.
+    # empirical_min_terms also reads exact_value's index at 1/(4D), which
+    # sets its precision, and exact_value then scans nothing
     scans = _counted_scans(monkeypatch)
     assert circle.guaranteed_terms(51, 7, 5) == 22
     assert circle.empirical_min_terms(51, 7, 5) == 7
-    assert scans == [(Fraction(1, 2 * oracle.denominator(51, 7, 5)), 60)]
+    assert circle.exact_value(51, 7, 5) == oracle.coeffs(Fraction(51, 7), 5).values[5]
+    d = oracle.denominator(51, 7, 5)
+    assert scans == [(Fraction(1, 2 * d), 60), (Fraction(1, 4 * d), 60)]
 
 
 @pytest.mark.parametrize("a,b,n,m,m_star", [
@@ -441,7 +445,7 @@ def test_recovery_scans_the_ladder_once_per_threshold(monkeypatch):
 ])
 def test_recovery_scans_at_60_digits_when_d_sets_a_higher_start(monkeypatch, a, b, n, m, m_star):
     # the recovery precision is above 60 here, but each threshold is still
-    # scanned once, at 60 digits; only _sum_at_recovery_precision builds
+    # scanned once, at 60 digits; only _recovery_cache's cache builds full
     # terms at the higher precision
     scans = _counted_scans(monkeypatch)
     assert circle.exact_value(a, b, n) == oracle.coeffs(Fraction(a, b), n).values[n]
@@ -463,10 +467,14 @@ def _largest_first_term(point, counts):
 @pytest.mark.parametrize("a,b,n,m,m_star,digits", [
     (20, 1, 240, 5, 5, 65),  # D = 1, a 63-digit value
     (479, 7, 45, 59, 50, 84),  # D has 44 digits
+    # the 1/(2D) index alone would give one digit less
+    (5, 1, 1500, 17, 13, 93),
+    (22, 1, 297, 5, 5, 77),
 ])
 def test_recovery_builds_full_terms_at_one_precision(monkeypatch, a, b, n, m, m_star, digits):
     # digits = max(60, floor(log10(4 D c^2 t1)) + 1) from the k = 1 terms of
-    # the 60-digit cache; full terms are built at that precision only
+    # the 60-digit cache at exact_value's 1/(4D) index; empirical_min_terms
+    # builds at that precision too, so full terms are built at it only
     circle.clear_caches()
     calls = []
     term_cache = circle._term_cache
@@ -480,14 +488,17 @@ def test_recovery_builds_full_terms_at_one_precision(monkeypatch, a, b, n, m, m_
     assert circle.empirical_min_terms(a, b, n) == m_star
     assert set(calls) == {60, digits}
     assert circle.guaranteed_terms(a, b, n) == m
-    low = term_cache(parse_alpha("%d/%d" % (a, b)), n, DEFAULT_PRECISION)
+    # the cache exact recovery used, keyed by as_alpha(Fraction(a, b));
+    # parse_alpha("20/1") would key another, empty one
+    low = term_cache(as_alpha(Fraction(a, b)), n, DEFAULT_PRECISION)
     assert all(len(prefix) <= 2 for prefix in low.prefix)  # only k = 1 terms at 60 digits
     d = oracle.denominator(a, b, n)
-    for threshold in low.ladder:
-        counts = circle._ladder_counts(low.point, low.ladder[threshold])
+    for share in (4, 2):  # the 1/(2D) index has no more terms
+        counts = circle._ladder_counts(low.point, low.ladder[Fraction(1, share * d)])
         t1 = _largest_first_term(low.point, counts)
         with DEFAULT_PRECISION.ctx():
-            assert max(60, int(mp.floor(mp.log10(4 * d * sum(counts) ** 2 * t1))) + 1) == digits
+            needed = max(60, int(mp.floor(mp.log10(4 * d * sum(counts) ** 2 * t1))) + 1)
+        assert needed == digits if share == 4 else needed <= digits
 
 
 @pytest.mark.parametrize("alpha_text", ["1", "5/2", "51/7", "32", "49/2", "sqrt(3)", "e"])

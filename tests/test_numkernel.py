@@ -1,5 +1,6 @@
 """Precision policy, the alpha expression parser, and Bessel I."""
 
+import random
 from fractions import Fraction
 from math import log10
 
@@ -14,6 +15,7 @@ from fracpart.numkernel import (
     DEFAULT_PRECISION,
     MAX_SQRT_NESTING,
     AlphaValue,
+    BesselFamily,
     DomainError,
     ParseError,
     Precision,
@@ -466,6 +468,120 @@ def test_bessel_domain_errors(nu, z, message):
     # non-finite input: test_bessel_rejects_non_finite_input
     with pytest.raises(DomainError, match=message):
         bessel_i(nu, z)
+
+
+# ---------------------------------------------------------------------------
+# Bessel families I_nu(z/k)
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=60)
+@given(
+    nu=st.floats(min_value=1.1, max_value=20),
+    log_z=st.floats(min_value=-3, max_value=log10(800)),
+    digits=st.integers(min_value=30, max_value=120),
+    high=st.sampled_from([1, 2, 40, None]),
+)
+def test_family_first_member_is_bessel_i(nu, log_z, digits, high):
+    # the k = 1 member is bessel_i's loop, bit for bit, also when the same
+    # loop goes on to build the table of the k >= 2 members
+    prec = Precision(digits)
+    with prec.ctx():
+        nuv, z = mp.mpf(nu), mp.mpf(10) ** mp.mpf(log_z)
+    value = BesselFamily(nuv, z, prec).members(1, high)(1)
+    assert value._mpf_ == bessel_i(nuv, z, prec)._mpf_
+    assert value._mpf_ == reference_series_bessel_i(nuv, z, prec)[0]._mpf_
+
+
+FAMILY_ORDERS = {
+    "3/2": lambda: mp.mpf(3) / 2,  # dyadic: the order of alpha = 1
+    "137/14": lambda: mp.mpf(137) / 14,
+    "e/2+1": lambda: mp.e / 2 + 1,
+}
+FAMILY_BASES = ("0.001", "6", "40", "420", "2500")
+# 352 digits is the precision of exact recovery at n = 10^5 (alpha = 1,
+# order 3/2). The referee, at 724 digits, takes over 20 s per 300 members
+# of the other two orders, so for those it reads a spread of members.
+EVERY_MEMBER = range(1, 301)
+SPREAD = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 299, 300)
+
+
+def _family_members(order, digits):
+    return SPREAD if digits == 352 and order != "3/2" else EVERY_MEMBER
+
+
+def _family_referee(nu, z, prec, ks):
+    """I_nu(z/k) for k in ks at twice the working digits, by the series
+    mp.besseli sums, (x/2)^nu / Gamma(nu+1) 0F1(; nu+1; x^2/4), with
+    Gamma(nu+1) taken once; mp.besseli itself checks it at the last k."""
+    with mp.workdps(2 * prec.work_dps):
+        gamma = mp.gamma(nu + 1)
+        values = {}
+        for k in ks:
+            half = z / (2 * k)
+            values[k] = half ** nu / gamma * mp.hyp0f1(nu + 1, half * half)
+        k = ks[-1]
+        assert abs(values[k] / mp.besseli(nu, z / k) - 1) < mp.mpf(10) ** (10 - mp.mp.dps)
+        return values
+
+
+def _assert_member_within_bound(value, truth, prec):
+    """A member against its exact value: the series factor is never high and
+    is low by less than 10^-dps + 2 (K+1)^2 2^-W < 10^-dps + 2^-wp
+    (K < 2^31). The first term t0 k^-nu, whose error is not proved, gets the
+    8 units of 2^-wp bessel_error_bound allows it, either way."""
+    with prec.ctx(5):
+        wp = mp.mp.prec
+    with mp.workdps(2 * prec.work_dps):
+        first = 8 * mp.mpf(2) ** -wp
+        assert value - truth <= first * truth
+        assert truth - value < (mp.mpf(10) ** -prec.work_dps + mp.mpf(2) ** -wp + first) * truth
+
+
+@pytest.mark.parametrize("digits", [30, 60, 90, 352])
+@pytest.mark.parametrize("order", FAMILY_ORDERS)
+def test_family_members_within_proved_bound(order, digits):
+    prec = Precision(digits)
+    ks = _family_members(order, digits)
+    for base in FAMILY_BASES:
+        with prec.ctx(5):
+            nu, z = FAMILY_ORDERS[order](), mp.mpf(base)
+        member = BesselFamily(nu, z, prec).members(1)
+        truth = _family_referee(nu, z, prec, ks)
+        for k in ks:
+            _assert_member_within_bound(member(k), truth[k], prec)
+
+
+def test_family_members_do_not_depend_on_how_they_are_read():
+    # a member stops at the first index where its test passes, and the test
+    # passes there for every higher member too: the bits depend neither on
+    # the order of the reads (the ladder scan bisects) nor on the lowest
+    # member of the table (a term cache extended by a second ensure)
+    prec = DEFAULT_PRECISION
+    with prec.ctx(5):
+        nu, z = mp.e / 2 + 1, mp.mpf(420)
+    family = BesselFamily(nu, z, prec)
+    ks = range(2, 120)
+    ascending = family.members(2)
+    want = {k: ascending(k)._mpf_ for k in ks}
+    shuffled = list(ks)
+    random.Random(7).shuffle(shuffled)
+    member = family.members(2)
+    assert all(member(k)._mpf_ == want[k] for k in shuffled)
+    member = family.members(37, 80)
+    assert all(member(k)._mpf_ == want[k] for k in range(37, 81))
+    assert family.members(1, 119)(119)._mpf_ == want[119]
+
+
+def test_family_reads_only_its_range():
+    with DEFAULT_PRECISION.ctx():
+        family = BesselFamily(mp.mpf(3) / 2, mp.mpf(40))
+    member = family.members(3, 5)
+    for k in (1, 2, 6):
+        with pytest.raises(DomainError, match="outside"):
+            member(k)
+    with pytest.raises(DomainError):
+        family.members(4, 3)
+    assert BesselFamily(2, 0).members(2)(7) == 0
 
 
 # ---------------------------------------------------------------------------
