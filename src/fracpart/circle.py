@@ -255,8 +255,9 @@ def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision, bessel=No
 class _TermCache:
     """The prefix sums of t(m, k) per m-block, and the ladder index of each
     recovery threshold. The Bessel values of block m are the members
-    I_order(4 pi nu mu(m) / k) of one BesselFamily, whose first term the
-    cache keeps; each ensure builds that family's coefficient table once and
+    I_order(4 pi nu mu(m) / k) of one BesselFamily, which the cache keeps;
+    each ensure reads the members past the Hankel switch from the expansion,
+    builds the coefficient table only as far as the others need it, and
     drops it when it returns."""
 
     def __init__(self, point: CirclePoint, prec: Precision):
@@ -476,8 +477,9 @@ def _ladder_scan(cache: _TermCache, threshold: Fraction) -> int:
     positive power of delta, so the bound strictly decreases as j grows;
     bracket the crossing by doubling and bisect for the minimal index.
     I_order(2 delta_j nu) = I_order(4 pi nu mu(0) / (j+1)) is member j + 1
-    of the cache's m = 0 family, read from one coefficient table that is
-    dropped when the scan returns."""
+    of the cache's m = 0 family: past the Hankel switch from the expansion,
+    below it from one coefficient table that is dropped when the scan
+    returns."""
     point, prec = cache.point, cache.prec
     bessel = cache.family(0).members(2)
     with prec.ctx():

@@ -8,13 +8,16 @@ scan, one recursive descent) for alpha expressions such as "51/7",
 
 I_nu sums its ascending series on Python ints: exact term ratios, a scale
 relative to the largest term, and a stop rule that bounds the tail, so the
-series factor has a proved error bound (bessel_i). A BesselFamily reads every
-I_nu(z/k) of one order from that series' terms, one Horner pass each, with
-the same bound. cos_sum reads each cosine from one baby-step/giant-step
-table of roots of unity on Python ints and phase_sum from two such tables,
-one of them of powers of an irrational root; both sum exactly, also with
-proved bounds. Everything else is done
-with mpmath at an explicit working precision; every public operation takes a
+series factor has a proved error bound (bessel_i). At large argument it sums
+the Hankel expansion instead, also on Python ints, with a proved remainder,
+wherever that expansion stops within the series' growing terms. A
+BesselFamily reads every I_nu(z/k) of one order: each member past that
+switch from the expansion, each other one from one table of the series'
+terms, one Horner pass each, with the same bound. cos_sum reads each cosine
+from one baby-step/giant-step table of roots of unity on Python ints and
+phase_sum from two such tables, one of them of powers of an irrational root;
+both sum exactly, also with proved bounds. Everything else is done with
+mpmath at an explicit working precision; every public operation takes a
 Precision and restores the global mpmath state on exit (mp.workdps context),
 so callers never see precision leakage.
 """
@@ -265,21 +268,70 @@ class BesselFamily:
     """The modified Bessel functions I_nu(z/k), k = 1, 2, ..., of one finite
     order nu > 0 and base argument z >= 0, at one working precision.
 
-    I_nu(z/k) = t0 k^-nu F(z/k) with t0 = (z/2)^nu / Gamma(nu+1), computed
-    once, and F(z/k) = sum_j c_j k^(-2j), c_j = (z/2)^(2j) / (j! (nu+1)_j).
-    The family keeps t0 and nothing else. members() builds the coefficient
-    table and a memo of k^-nu: one mpf power per prime, and per composite
-    the product of two memo entries, k = p (k/p) for the least prime p
-    dividing k. Both are freed with the function members() returns.
+    A member takes one of two routes, chosen from (nu, z/k, precision) alone,
+    so its bits depend neither on the range read nor on the order of reads:
+    the Hankel expansion where its proved stop comes within p terms, and the
+    ascending series otherwise. p is the number of growing terms of the
+    member's series, which runs at least to its largest term, and a term of
+    either sum costs about one multiply and one floor division on Python
+    ints, so the expansion is taken only where it is the shorter sum.
+
+    Hankel branch. With x = z/k (DLMF 10.34.2 at m = 1, and 10.40.10 at
+    ph = pi; a_j(nu) = (4nu^2 - 1^2)(4nu^2 - 3^2)...(4nu^2 - (2j-1)^2) /
+    (j! 8^j)),
+        I_nu(x) = e^x / sqrt(2 pi x) (sum_(j<l) (-1)^j a_j(nu) x^-j + Re R_l)
+                  - sin(nu pi) K_nu(x) / pi,
+    |R_l| <= 2 chi(l) |a_l(nu)| x^-l exp(pi |nu^2 - 1/4| / (2x)) for l >= 1
+    (10.40.11 with the bounds 10.40.12 at ph = pi), and chi(l) =
+    sqrt(pi) Gamma(l/2 + 1) / Gamma(l/2 + 1/2) < sqrt(pi (l/2 + 1)) by
+    Gautschi's inequality. The companion: 10.40.11 at ph = 0 and l = 1 gives
+    K_nu(x) <= sqrt(pi / (2x)) e^-x (1 + 2 |a_1| x^-1 exp(|nu^2 - 1/4| / x)).
+    The terms t_j = (-1)^j a_j x^-j have the exact ratios
+    r_j = ((2j-1)^2 - 4nu^2) / (8jx), rationals since nu and z are dyadic.
+    _hankel sums them at the scale 2^W: T_0 = 2^W, T_j = floor(T_(j-1) r_j),
+    each checked for |r_j| <= 1 (otherwise: the series), so every |T_j| <= 2^W
+    and T_j is within j units of 2^W t_j: a floor loses less than a unit and
+    |r_j| <= 1 carries the loss before it over at most whole. |r_1| <= 1 also
+    bounds, in units of 2^W,
+    - the remainder factor: exp(pi |r_1|) <= 2^c,
+      c = ceil((355/113) (14427/10^4) |r_1|) <= 5, and
+      2 chi(l) < sqrt(2 pi (l + 2)) < X_l / 2^16 for
+      X_l = isqrt(floor(710 (l+2) 2^32 / 113) + 1) + 1, so below
+      R = floor(X_l (|T_l| + l) 2^(c-16)) + 1;
+    - the companion, relative to e^x / sqrt(2 pi x): e^-2x (1 +
+      2 |r_1| e^(2 |r_1|)) < 17 e^-2x < 2^(5-m), m = floor(2.8852 x),
+      so below C = 2^max(W - m + 5, 0).
+    The expansion stops at the first l <= p with 2 (R + C) 10^work_dps < S
+    and S >= 2^(W-2), S = T_0 + ... + T_(l-1), decided on integers, and
+    returns S_lo = S - R - C - l(l-1)/2, the last term bounding what the
+    floors took from S. The exact factor 2^W sqrt(2 pi x) e^-x I_nu(x) lies
+    between S_lo and S_lo + 2 (R + C + l(l-1)/2) < S_lo + 10^-work_dps S + l^2,
+    so the computed factor is never high and low by less than
+    10^-work_dps + 2^-wp of it: l^2 units are below 2^-(wp+1) of
+    S >= 2^(W-2) while l < 2^30. The screen reads integers only (no exp of
+    nu^2/x is formed), so it never overflows: an order with 4nu^2 - 1 > 8x,
+    or a member whose companion alone fails the stop test where S can reach
+    p 2^W, goes to the series at once. The first factor e^x / sqrt(2 pi x)
+    is an mpf computation at wp bits, x = z/k read at wp plus the bits of
+    its integer part plus 10, whose error is not proved, as for t0.
+
+    Series branch. I_nu(z/k) = t0 k^-nu F(z/k) with the first term
+    t0 = (z/2)^nu / Gamma(nu+1), computed once when a series member first
+    needs it, and F(z/k) = sum_j c_j k^(-2j), c_j = (z/2)^(2j) / (j! (nu+1)_j).
+    members() keeps a memo of k^-nu: one mpf power per prime, and per
+    composite the product of two memo entries, k = p (k/p) for the least
+    prime p dividing k. The memo and the coefficient table are freed with
+    the function members() returns.
 
     The table is bessel_i's series for I_nu(z): c_j = r_1 ... r_j,
     r_j = a / d_j, held as T_j 2^e_j. The k = 1 member is that loop's own sum
-    and stop, so bessel_i is this member, bit for bit. A member k >= 2 is one
-    Horner pass over the table on Python ints, from its own stop K down:
-    H_K = T_K, H_j = T_j + floor(H_(j+1) / k^2), F = H_0. H is held at a
-    floating scale 2^E: T_j is brought to it (floored where it is coarser
-    than 2^e_j), and after each step H is shifted back to L to L + 7 bits,
-    L = W + bits(k^2) + 1 (exactly to the left, floored to the right).
+    and stop, so bessel_i's series branch is this member, bit for bit. A
+    member k >= 2 is one Horner pass over the table on Python ints, from its
+    own stop K down: H_K = T_K, H_j = T_j + floor(H_(j+1) / k^2), F = H_0. H
+    is held at a floating scale 2^E: T_j is brought to it (floored where it
+    is coarser than 2^e_j), and after each step H is shifted back to L to
+    L + 7 bits, L = W + bits(k^2) + 1 (exactly to the left, floored to the
+    right).
 
     Let p be the number of j >= 1 with d_j k^2 <= a, so the member's term p
     is its largest. K is the first j >= p with
@@ -293,11 +345,15 @@ class BesselFamily:
       side is larger by k^2 per power, and T_p 2^e_p k^(-2p) only grows from
       the lower member's p down to its own, since floors never raise a term
       and r_j < k^2 there.
-    So a member stops no later than any lower one. The table stores the
-    entries up to the stop of its lowest member l >= 2, found as the loop
-    runs, which covers every member. Each other member searches down from
-    the stop of the nearest lower member read, by doubling steps and then
-    bisection.
+    So a member stops no later than any lower one. The table grows only when
+    a series member needs an entry past its end: its loop resumes where it
+    stopped, the same for every reader. A series member k >= 2 searches down
+    from the stop of the nearest lower series member read, by doubling steps
+    and then bisection; with none read, from the table's last entry if its
+    test passes there, and otherwise it extends the table to its own stop.
+    So the table ends at the stop of the lowest series member read, or at the
+    k = 1 stop where member 1 took the series (its loop records the table
+    when the range holds members k >= 2).
 
     Proved error of F for k >= 2. Every table term is low, and T_j falls
     short of its exact term by less than j units plus 2j 2^-W of it
@@ -333,14 +389,12 @@ class BesselFamily:
                 raise DomainError("bessel_i requires z >= 0")
             if zv == 0:
                 return
-            self.nu = nuv
-            half = zv / 2
-            self.first = half ** nuv / _gamma_plus_one(nuv._mpf_, mp.mp.prec)
+            self.nu, self._z, self._first = nuv, zv, None
             # z/2 = hm 2^he and nu = nm 2^ne. With f = max(-ne, 0), nu 2^f is an
             # integer and r_k = hm^2 2^s / (k (nu + k) 2^f), s = 2 he + f. 2^|s| goes
             # to the numerator a if s >= 0, else to the denominator: r_k = a / d_k,
             # d_k = k (n + (k << f_d)) = k (nu + k) 2^f_d
-            _, hm, he, _ = half._mpf_
+            _, hm, he, _ = (zv / 2)._mpf_
             _, nm, ne, _ = nuv._mpf_
             f = max(-ne, 0)
             s = 2 * he + f
@@ -348,6 +402,15 @@ class BesselFamily:
             self._f_d = f + max(-s, 0)
             self._n = nm << (ne + self._f_d)
             self._w = mp.mp.prec + 64
+            # Hankel: with nu 2^f = N and x = hm 2^(he+1) / k, the ratio
+            # ((2j-1)^2 - 4 nu^2) / (8jx) is ((2j-1)^2 hb - hn) (k << hk) / (j hd),
+            # and 2.8852 x is _m[0] / (k _m[1])
+            h = he + 4 + 2 * f
+            self._hn = 4 * (nm << (ne + f)) ** 2
+            self._hb = 1 << 2 * f
+            self._hk = max(-h, 0)
+            self._hd = hm << max(h, 0)
+            self._m = (28852 * hm << max(he + 1, 0), 10000 << max(-he - 1, 0))
         self._p10 = 10 ** prec.work_dps
         self._gate = self._a.bit_length() + self._p10.bit_length() - 2
 
@@ -357,6 +420,12 @@ class BesselFamily:
             p = _least_prime_factor(k)
             memo[k] = mp.mpf(k) ** -self.nu if p == k else self._inv_power(p, memo) * self._inv_power(k // p, memo)
         return memo[k]
+
+    def _t0(self) -> mp.mpf:
+        """t0 = (z/2)^nu / Gamma(nu+1), at wp bits, formed once."""
+        if self._first is None:
+            self._first = (self._z / 2) ** self.nu / _gamma_plus_one(self.nu._mpf_, mp.mp.prec)
+        return self._first
 
     def _peak(self, k2: int) -> int:
         """The number of j >= 1 with d_j k^2 <= a, for k2 = k^2."""
@@ -380,12 +449,44 @@ class BesselFamily:
             return False
         return ((t + j) * a * self._p10 << shift) < (d - a) * peak * k2 ** (j - p)
 
+    def _hankel(self, k: int, p: int):
+        """I_nu(z/k) by the Hankel branch, or None where that branch does not
+        stop within p terms (the class docstring has the rule and its proof)."""
+        w, p10 = self._w, self._p10
+        m_num, m_den = self._m  # m = floor(2.8852 x) = m_num // (k m_den)
+        comp = max(w - m_num // (k * m_den) + 5, 0)
+        if p10 << comp + 1 >= p << w:  # S <= p 2^W: the companion alone fails
+            return None
+        comp = 1 << comp
+        hb, hn, hd, kk = self._hb, self._hn, self._hd, k << self._hk
+        t = total = 1 << w
+        for j in range(1, p + 1):
+            num, den = ((2 * j - 1) ** 2 * hb - hn) * kk, j * hd
+            if abs(num) > den:
+                return None
+            if j == 1:
+                c = -(-5121585 * abs(num) // (1130000 * den))  # exp(pi |r_1|) <= 2^c
+            t = t * num // den
+            bound = ((isqrt((710 * (j + 2) << 32) // 113 + 1) + 1) * (abs(t) + j) << c >> 16) + 1 + comp
+            if 2 * bound * p10 < total and total >= 1 << (w - 2):
+                total -= bound + j * (j - 1) // 2
+                break
+            total += t
+        else:
+            return None
+        with self.prec.ctx(5):
+            wp = mp.mp.prec
+            _, _, exp, bc = self._z._mpf_
+            with mp.workprec(wp + max(exp + bc, 0) + 10):
+                x = self._z / k
+            return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.mpf((total, -w))
+
     def members(self, low: int = 1, high: int | None = None):
         """The function k -> I_nu(z/k) for low <= k <= high (no upper limit
         when high is None), at wp = mp.prec bits of work_dps + 5 digits.
 
-        The k = 1 member (low = 1) is bessel_i's loop. A table is built only
-        when a member k >= 2 may be read, up to the stop of the lowest one.
+        The series' loop (bessel_i's) runs only when a series member needs
+        it, and records the table only when the range holds members k >= 2.
         """
         if low < 1 or (high is not None and high < low):
             raise DomainError("members requires 1 <= low <= high")
@@ -394,69 +495,79 @@ class BesselFamily:
             return lambda k: mp.mpf(0)
         a, n, f_d, w = self._a, self._n, self._f_d, self._w
         p10, gate = self._p10, self._gate
-        table_low = max(low, 2) if high is None or high >= 2 else None
-        ts, exps = [], []  # T_j and e_j, j <= K of member table_low
-        growing = table_low is not None
-        if growing:
-            low2 = table_low * table_low
-            low_peak = self._peak(low2)
-        # the k = 1 factor (S, exp) once its stop test passes; False when
-        # member 1 is not read
-        one = None if low == 1 else False
-        t = total = 1 << w
-        exp = -w
-        k = 0
-        while True:
-            k += 1
-            d = k * (n + (k << f_d))
-            # bessel_i's stop test for T_{k-1}; the bit lengths of its two
-            # sides, compared first, rule it out at almost every step
-            if (one is None and a < d
-                    and t.bit_length() + gate <= d.bit_length() + total.bit_length()
-                    and (t + k - 1) * a * p10 < (d - a) * total):
-                one = (total, exp)
-                if not growing:
-                    break
-            if growing:
-                ts.append(t)
-                exps.append(exp)
-                if k - 1 >= low_peak and self._stops(low2, k - 1, low_peak, ts, exps):
-                    growing = False
-                    if one is not None:
-                        break
-            t = t * a // d
-            total += t
-            if t.bit_length() > w + 8:
-                drop = t.bit_length() - w - 1
-                t >>= drop
-                total >>= drop
-                exp += drop
+        record = high is None or high >= 2
+        ts, exps = [], []  # T_j and e_j of the indices the loop has passed
+        # the loop's state: T_i, S_i = T_0 + ... + T_i at the scale 2^exp,
+        # and the k = 1 factor (S, exp) once its stop test passes
+        i, t, total, exp, one = 0, 1 << w, 1 << w, -w, None
 
-        # member -> its stop K. A member's test passes wherever a lower one's
-        # does, so K lies between p and the stop of the nearest lower member
-        # read so far: search down from there, by doubling steps, then bisect
+        def advance(k2=None, p=0):
+            """Resume bessel_i's loop: up to member 1's stop (k2 None), or
+            up to the first new table index j >= p at which the test of
+            member k (k2 = k^2) passes, which it returns."""
+            nonlocal i, t, total, exp, one
+            while True:
+                d = (i + 1) * (n + ((i + 1) << f_d))
+                # bessel_i's stop test for T_i; the bit lengths of its two
+                # sides, compared first, rule it out at almost every step
+                if (low == 1 and one is None and a < d
+                        and t.bit_length() + gate <= d.bit_length() + total.bit_length()
+                        and (t + i) * a * p10 < (d - a) * total):
+                    one = (total, exp)
+                if record:
+                    ts.append(t)
+                    exps.append(exp)
+                t = t * a // d
+                total += t
+                if t.bit_length() > w + 8:
+                    drop = t.bit_length() - w - 1
+                    t >>= drop
+                    total >>= drop
+                    exp += drop
+                i += 1
+                if k2 is None:
+                    if one is not None:
+                        return None
+                elif i > p and self._stops(k2, i - 1, p, ts, exps):
+                    return i - 1
+
+        # series member -> its stop K. A member's test passes wherever a lower
+        # one's does, so K lies between p and the stop of the nearest lower
+        # member read so far: search down from there, by doubling steps, then
+        # bisect. With no lower member read, search down from the table's
+        # last entry if the test passes there, else grow the table to K
         stops, read = {}, []
         inv_powers = {1: mp.mpf(1)}
-        if table_low is not None:
-            stops[table_low] = len(ts) - 1
-            read.append(table_low)
 
         def member(k: int) -> mp.mpf:
             if k < low or (high is not None and k > high):
                 raise DomainError("member k outside [%d, %s]" % (low, high))
-            if k == 1:
-                with prec.ctx(5):
-                    return self.first * mp.mpf(one)
             k2 = k * k
             p = self._peak(k2)
-            stop = stops[read[bisect_right(read, k) - 1]]
-            below, step = p - 1, 1  # the test fails at below (none at p - 1)
-            while stop - step >= p:
-                if not self._stops(k2, stop - step, p, ts, exps):
-                    below = stop - step
+            value = self._hankel(k, p)
+            if value is not None:
+                return value
+            if k == 1:
+                if one is None:
+                    advance()
+                with prec.ctx(5):
+                    return self._t0() * mp.mpf(one)
+            below = p - 1  # the test fails at below (none at p - 1)
+            lower = bisect_right(read, k)
+            if lower:
+                stop = stops[read[lower - 1]]
+            else:
+                stop = len(ts) - 1
+                if stop < p or not self._stops(k2, stop, p, ts, exps):
+                    stop = advance(k2, p)
+                    below = stop - 1
+            gap = 1
+            while stop - gap > below:
+                if not self._stops(k2, stop - gap, p, ts, exps):
+                    below = stop - gap
                     break
-                stop -= step
-                step *= 2
+                stop -= gap
+                gap *= 2
             while stop - below > 1:
                 mid = (stop + below) // 2
                 if self._stops(k2, mid, p, ts, exps):
@@ -479,15 +590,19 @@ class BesselFamily:
                     acc = acc >> (size - lo) if size > lo else acc << (lo - size)
                     e += size - lo
             with prec.ctx(5):
-                return self.first * self._inv_power(k, inv_powers) * mp.mpf((acc, e))
+                return self._t0() * self._inv_power(k, inv_powers) * mp.mpf((acc, e))
 
         return member
 
 
 def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
-    """Modified Bessel I_nu(z), finite nu > 0 and z >= 0, by the defining series:
-    the k = 1 member of BesselFamily(nu, z, prec), whose loop is described
-    here.
+    """Modified Bessel I_nu(z), finite nu > 0 and z >= 0: the k = 1 member of
+    BesselFamily(nu, z, prec). Where the Hankel expansion's proved stop comes
+    within the series' growing terms, that expansion gives it (BesselFamily
+    has the rule and the proof): the factor e^-z sqrt(2 pi z) I_nu(z) is
+    then never high and low by less than 10^-work_dps + 2^-wp, the same
+    contract as the series'. Elsewhere it is the defining series, whose loop
+    is described here.
 
     I_nu(z) = t0 F with first term t0 = (z/2)^nu / Gamma(nu+1) and series
     factor F = sum_{k>=0} t_k, t_0 = 1, t_k = t_{k-1} r_k, where

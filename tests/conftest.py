@@ -13,9 +13,11 @@ reference_kloosterman and reference_bessel_i are the straightforward mpf
 versions of the library's two inner kernels (Fraction phases, separate
 cospi/sinpi calls, an mpc sum over all h; an mpf series loop).
 reference_kloosterman_real sums the same phases' cosines over h <= k/2 only,
-doubled when k > 2. reference_series_bessel_i runs bessel_i's documented
-integer series over Fractions, importing nothing from the library. The
-library's kernels must reproduce reference_series_bessel_i bit for bit, stay
+doubled when k > 2. reference_series_bessel_i and reference_hankel_bessel_i
+run bessel_i's two documented integer routes over Fractions, the series and
+the Hankel expansion with the rule that switches between them, importing
+nothing from the library. The library's kernels must reproduce the referee
+of the route they take bit for bit, stay
 within a derived rounding bound of reference_kloosterman, whose imaginary
 part is the check that the conjugate symmetry behind the half sum holds, and
 bessel_i within its stated error bound (bessel_error_bound) of
@@ -293,6 +295,74 @@ def reference_series_bessel_i(nu, z, prec):
                 total //= 2 ** drop
                 scale += drop
         return first * mp.ldexp(mp.mpf(total), scale), k, tail
+
+
+def _series_peak(nu, x):
+    """The number of j >= 1 with (x/2)^2 >= j (nu + j), for Fractions nu, x,
+    by doubling and bisection on j."""
+    quarter = x * x / 4
+    lo, hi = 0, 1  # lo meets the condition (or is 0), hi does not
+    while hi * (nu + hi) <= quarter:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * (nu + mid) <= quarter:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_hankel_bessel_i(nu, z, prec, k=1):
+    """(I_nu(z/k), terms l) for mpf nu > 0 and z > 0 by the Hankel branch
+    BesselFamily documents, computed over Fractions, or None where that
+    branch leaves the member to the series.
+
+    With x = z/k exact, t_j = t_(j-1) ((2j-1)^2 - 4nu^2) / (8jx) is summed
+    at the scale 2^W, each term floored; any |ratio| > 1 ends the branch. It
+    stops at the first l up to the series' peak p where
+    2 (R + C) < 10^-dps S with S >= 2^W / 4, S the sum of the terms before
+    l, R = floor(X_l (|T_l| + l) 2^c / 2^16) + 1 the remainder bound
+    (X_l = isqrt(floor(710 (l+2) 2^32 / 113) + 1) + 1 above 2^16 2 chi(l),
+    2^c with c = ceil(pi 1.4427 |ratio_1|), pi read as 355/113, above
+    exp(pi |nu^2 - 1/4| / (2x))), and C = 2^max(W - m + 5, 0),
+    m = floor(2.8852 x), the companion bound. The value is
+    S - R - C - l(l-1)/2 times e^x / sqrt(2 pi x), x rounded for the
+    exponential at wp plus the bits of its integer part plus 10.
+    """
+    import mpmath as mp
+
+    with prec.ctx(5):
+        nu, z = mp.mpf(nu), mp.mpf(z)
+        wp = mp.mp.prec
+        w = wp + 64
+        exact_nu = Fraction(int(nu.man)) * Fraction(2) ** int(nu.exp)
+        x = Fraction(int(z.man)) * Fraction(2) ** int(z.exp) / k
+        unit = 2 ** w
+        threshold = Fraction(1, 10 ** prec.work_dps)
+        p = _series_peak(exact_nu, x)
+        comp = 2 ** max(w - int(Fraction(28852, 10000) * x) + 5, 0)
+        if 2 * comp >= threshold * p * unit:
+            return None
+        ratio_1 = (1 - 4 * exact_nu ** 2) / (8 * x)
+        if abs(ratio_1) > 1:
+            return None
+        c = -int(-(Fraction(355, 113) * Fraction(14427, 10000) * abs(ratio_1)) // 1)
+        term = total = unit
+        for l in range(1, p + 1):
+            ratio = ((2 * l - 1) ** 2 - 4 * exact_nu ** 2) / (8 * l * x)
+            if abs(ratio) > 1:
+                return None
+            term = int((term * ratio) // 1)
+            chi = isqrt(int(Fraction(710 * (l + 2), 113) * 2 ** 32) + 1) + 1
+            bound = (chi * (abs(term) + l) * 2 ** c) // 2 ** 16 + 1 + comp
+            if 2 * bound < threshold * total and 4 * total >= unit:
+                low = total - bound - l * (l - 1) // 2
+                with mp.workprec(wp + max(z.exp + z.bc, 0) + 10):
+                    xv = z / k
+                return mp.exp(xv) / mp.sqrt(2 * mp.pi * xv) * mp.ldexp(mp.mpf(low), -w), l
+            total += term
+        return None
 
 
 def bessel_error_bound(prec, steps):

@@ -1,6 +1,7 @@
 """Dedekind sums, Kloosterman sums, the truncated series, tail bounds,
 exact recovery, asymptotics, and the functional-equation residual."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -380,6 +381,24 @@ def test_clear_caches_keeps_values():
     circle.clear_caches()
     after = circle.partial_series(a, 10, circle.m_term_delta(a, 8)).value
     assert before == after
+
+
+def test_large_n_series_builds_no_coefficient_table():
+    # at n = 10^12 the three Bessel values of a 3-term series, and that of
+    # its tail bound, take the Hankel branch, so no member builds the
+    # series' coefficient table (one W-bit integer per term, over 100 MB
+    # here); the remaining peak is the oracle prefix and a few mpf values
+    alpha = parse_alpha("e")
+    delta = circle.m_term_delta(alpha, 3)
+    circle.clear_caches()
+    tracemalloc.start()
+    try:
+        series = circle.partial_series(alpha, 10 ** 12, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.value > 0 and series.tail_bound > 0
+    assert peak < 2 * 2 ** 20
 
 
 def _series_hits_cache(alpha, n, delta):

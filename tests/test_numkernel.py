@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bessel_error_bound, reference_bessel_i, reference_series_bessel_i
+from conftest import (
+    bessel_error_bound,
+    reference_bessel_i,
+    reference_hankel_bessel_i,
+    reference_series_bessel_i,
+)
 from fracpart import circle
 from fracpart.numkernel import (
     DEFAULT_PRECISION,
@@ -382,6 +387,21 @@ def _assert_within_bound(value, referee, steps, prec):
         assert abs(value - referee) <= bessel_error_bound(prec, steps) * referee
 
 
+def _assert_is_a_referee(value, nu, z, prec):
+    """value is, bit for bit, the referee of the branch bessel_i takes: above
+    the switch the Hankel referee, also within the stated bound of the series
+    referee, and below it the series referee. Returns the Hankel term count
+    (None below the switch) and the series referee's step count."""
+    hankel = reference_hankel_bessel_i(nu, z, prec)
+    series, steps, _ = reference_series_bessel_i(nu, z, prec)
+    if hankel is None:
+        assert value._mpf_ == series._mpf_
+        return None, steps
+    assert value._mpf_ == hankel[0]._mpf_
+    _assert_within_bound(value, series, steps, prec)
+    return hankel[1], steps
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     nu=st.floats(min_value=1.1, max_value=20),
@@ -389,16 +409,16 @@ def _assert_within_bound(value, referee, steps, prec):
     digits=st.integers(min_value=30, max_value=120),
 )
 def test_bessel_bit_identical_to_reference(nu, log_z, digits):
-    # bessel_i is the integer series reference_series_bessel_i runs over
-    # Fractions, bit for bit; that one value is within the stated bound of the
-    # mpf series loop bessel_i ran before and of mp.besseli at twice the
-    # precision
+    # bessel_i is, bit for bit, the referee of its branch: the integer series
+    # reference_series_bessel_i runs over Fractions below the switch, the
+    # Hankel expansion reference_hankel_bessel_i runs over Fractions above
+    # it. That one value is within the stated bound of the mpf series loop
+    # bessel_i ran before and of mp.besseli at twice the precision
     prec = Precision(digits)
     with prec.ctx():
         nuv, z = mp.mpf(nu), mp.mpf(10) ** mp.mpf(log_z)
     value = bessel_i(nuv, z, prec)
-    referee, steps, _ = reference_series_bessel_i(nuv, z, prec)
-    assert value._mpf_ == referee._mpf_
+    _, steps = _assert_is_a_referee(value, nuv, z, prec)
     _assert_within_bound(value, reference_bessel_i(nuv, z, prec), steps, prec)
     with mp.workdps(2 * prec.work_dps):
         _assert_within_bound(value, mp.besseli(nuv, z), steps, prec)
@@ -442,6 +462,7 @@ def test_bessel_stop_rule_bounds_the_tail():
     # z = 2500 the ratio there was 0.53, so the geometric tail bound
     # T r/(1-r) exceeded the threshold and the value fell short by more
     # than 10^-dps. The integer stop bounds the tail below the threshold.
+    # bessel_i takes the Hankel branch here, within the series' bound of it.
     prec = DEFAULT_PRECISION
     threshold = Fraction(1, 10 ** prec.work_dps)
     with prec.ctx(5):
@@ -456,11 +477,74 @@ def test_bessel_stop_rule_bounds_the_tail():
         assert term * r / (1 - r) > to_mpf(threshold) * total
     value, steps, tail = reference_series_bessel_i(nu, z, prec)
     assert tail < threshold
-    assert bessel_i(nu, z, prec)._mpf_ == value._mpf_
+    got = bessel_i(nu, z, prec)
+    assert _assert_is_a_referee(got, nu, z, prec)[0] is not None
     with mp.workdps(2 * prec.work_dps):
         truth = mp.besseli(nu, z)
         _assert_within_bound(value, truth, steps, prec)
+        _assert_within_bound(got, truth, steps, prec)
         assert truth - reference_bessel_i(nu, z, prec) > to_mpf(threshold) * truth
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    nu=st.one_of(st.floats(min_value=0.05, max_value=40), st.sampled_from([0.5, 1.5, 2.5, 7.5])),
+    digits=st.integers(min_value=30, max_value=120),
+)
+def test_bessel_across_the_switch(nu, digits):
+    # bisect z in [1, 10^4] down to a pair of arguments 2^-16 apart where the
+    # Hankel referee hands over to the series; on both sides bessel_i is its
+    # branch's referee bit for bit and within the stated bound of mp.besseli.
+    # At a half-integer order the expansion ends, and the companion bound
+    # alone places the switch
+    prec = Precision(digits)
+    with prec.ctx(5):
+        nuv, lo, hi = mp.mpf(nu), mp.mpf(1), mp.mpf(10 ** 4)
+        assert reference_hankel_bessel_i(nuv, lo, prec) is None
+        assert reference_hankel_bessel_i(nuv, hi, prec) is not None
+        while hi - lo > mp.mpf(2) ** -16:
+            mid = mp.ldexp(mp.floor(mp.ldexp(lo + hi, 15)), -16)
+            if reference_hankel_bessel_i(nuv, mid, prec) is None:
+                lo = mid
+            else:
+                hi = mid
+    for z, above in ((lo, False), (hi, True)):
+        value = bessel_i(nuv, z, prec)
+        terms, steps = _assert_is_a_referee(value, nuv, z, prec)
+        assert (terms is not None) == above
+        with mp.workdps(2 * prec.work_dps):
+            _assert_within_bound(value, mp.besseli(nuv, z), steps, prec)
+
+
+def test_bessel_hankel_branch_at_half_integer_order_and_huge_argument():
+    # for nu = 3/2 the expansion ends after a_1 (I_3/2(z) = sqrt(2/(pi z))
+    # (cosh z - sinh z / z)): two terms at any large z, where the series would
+    # need about e z / 2 of them
+    prec = DEFAULT_PRECISION
+    for z in (mp.mpf(200), mp.mpf(10) ** 30):
+        with prec.ctx(5):
+            nu, z = mp.mpf(3) / 2, mp.mpf(z)
+        value = bessel_i(nu, z, prec)
+        want, terms = reference_hankel_bessel_i(nu, z, prec)
+        assert value._mpf_ == want._mpf_ and terms == 2
+        with mp.workdps(2 * prec.work_dps):
+            truth = mp.sqrt(2 / (mp.pi * z)) * (mp.cosh(z) - mp.sinh(z) / z)
+            _assert_member_within_bound(value, truth, prec)
+
+
+@pytest.mark.parametrize("nu,z", [(12001, 4000 * mp.pi), (10 ** 6, 10 ** 4), (2 ** 200, 2 ** 300)])
+def test_bessel_switch_screen_never_raises_on_large_orders(nu, z):
+    # 4 nu^2 - 1 > 8z: the screen reads integers only and hands these to the
+    # series at its first ratio, where exp(pi |nu^2 - 1/4| / (2z)) would
+    # overflow a float (exp(18 000) for nu = 12001)
+    prec = DEFAULT_PRECISION
+    with prec.ctx(5):
+        nu, z = mp.mpf(nu), mp.mpf(z)
+    family = BesselFamily(nu, z, prec)
+    assert family._hankel(1, family._peak(1)) is None
+    assert reference_hankel_bessel_i(nu, z, prec) is None
+    if nu < 2 ** 100:
+        assert bessel_i(nu, z, prec)._mpf_ == reference_series_bessel_i(nu, z, prec)[0]._mpf_
 
 
 @pytest.mark.parametrize("nu,z,message", [(0, 1, "nu > 0"), (-1.5, 1, "nu > 0"), (2, -1, "z >= 0")])
@@ -482,14 +566,15 @@ def test_bessel_domain_errors(nu, z, message):
     high=st.sampled_from([1, 2, 40, None]),
 )
 def test_family_first_member_is_bessel_i(nu, log_z, digits, high):
-    # the k = 1 member is bessel_i's loop, bit for bit, also when the same
-    # loop goes on to build the table of the k >= 2 members
+    # the k = 1 member is bessel_i, bit for bit, also when the same loop
+    # goes on to build the table of the k >= 2 members, and the referee of
+    # its branch
     prec = Precision(digits)
     with prec.ctx():
         nuv, z = mp.mpf(nu), mp.mpf(10) ** mp.mpf(log_z)
     value = BesselFamily(nuv, z, prec).members(1, high)(1)
     assert value._mpf_ == bessel_i(nuv, z, prec)._mpf_
-    assert value._mpf_ == reference_series_bessel_i(nuv, z, prec)[0]._mpf_
+    _assert_is_a_referee(value, nuv, z, prec)
 
 
 FAMILY_ORDERS = {
@@ -553,23 +638,34 @@ def test_family_members_within_proved_bound(order, digits):
 
 def test_family_members_do_not_depend_on_how_they_are_read():
     # a member stops at the first index where its test passes, and the test
-    # passes there for every higher member too: the bits depend neither on
-    # the order of the reads (the ladder scan bisects) nor on the lowest
-    # member of the table (a term cache extended by a second ensure)
+    # passes there for every higher member too, and a member's branch rests
+    # on nu, z/k and the precision alone: the bits depend neither on the
+    # order of the reads (the ladder scan bisects) nor on the lowest member
+    # of the table (a term cache extended by a second ensure), also where
+    # the reads cross the switch (base 420 and 2500: the lowest members take
+    # the Hankel branch, each its referee bit for bit; base 40: member 1's
+    # series loop records the table)
     prec = DEFAULT_PRECISION
-    with prec.ctx(5):
-        nu, z = mp.e / 2 + 1, mp.mpf(420)
-    family = BesselFamily(nu, z, prec)
-    ks = range(2, 120)
-    ascending = family.members(2)
-    want = {k: ascending(k)._mpf_ for k in ks}
-    shuffled = list(ks)
-    random.Random(7).shuffle(shuffled)
-    member = family.members(2)
-    assert all(member(k)._mpf_ == want[k] for k in shuffled)
-    member = family.members(37, 80)
-    assert all(member(k)._mpf_ == want[k] for k in range(37, 81))
-    assert family.members(1, 119)(119)._mpf_ == want[119]
+    for base in ("40", "420", "2500"):
+        with prec.ctx(5):
+            nu, z = mp.e / 2 + 1, mp.mpf(base)
+        family = BesselFamily(nu, z, prec)
+        ks = range(2, 120)
+        ascending = family.members(2)
+        want = {k: ascending(k)._mpf_ for k in ks}
+        hankel = {k: reference_hankel_bessel_i(nu, z, prec, k) for k in ks}
+        assert all(hankel[k] is None or want[k] == hankel[k][0]._mpf_ for k in ks)
+        assert (hankel[2] is not None) == (base != "40") and hankel[119] is None
+        shuffled = list(ks)
+        random.Random(7).shuffle(shuffled)
+        member = family.members(2)
+        assert all(member(k)._mpf_ == want[k] for k in shuffled)
+        member = family.members(37, 80)
+        assert all(member(k)._mpf_ == want[k] for k in range(37, 81))
+        member = family.members(1)
+        assert member(1)._mpf_ == bessel_i(nu, z, prec)._mpf_
+        assert all(member(k)._mpf_ == want[k] for k in shuffled)
+        assert family.members(1, 119)(119)._mpf_ == want[119]
 
 
 def test_family_reads_only_its_range():
