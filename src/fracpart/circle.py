@@ -79,16 +79,6 @@ def _dedekind_12k(h: int, k: int) -> int:
     return f
 
 
-def dedekind_sum_direct(h: int, k: int) -> Fraction:
-    """s(h, k) by the defining sum; O(k), kept as the referee for the fast path."""
-    _check_coprime_pair(h, k)
-    acc = Fraction(0)
-    for r in range(1, k):
-        hr = h * r
-        acc += Fraction(r, k) * (Fraction(hr, k) - hr // k - Fraction(1, 2))
-    return acc
-
-
 def inverse_neg(h: int, k: int) -> int:
     """H in [0, k) with h*H = -1 (mod k); 0 when k = 1."""
     _check_coprime_pair(h, k)
@@ -255,10 +245,11 @@ def _first_form_bound(point: CirclePoint, dv: mp.mpf, prec: Precision, bessel=No
 class _TermCache:
     """The prefix sums of t(m, k) per m-block, and the ladder index of each
     recovery threshold. The Bessel values of block m are the members
-    I_order(4 pi nu mu(m) / k) of one BesselFamily, which the cache keeps;
-    each ensure reads the members past the Hankel switch from the expansion,
-    builds the coefficient table only as far as the others need it, and
-    drops it when it returns."""
+    I_order(4 pi nu mu(m) / k) of one BesselFamily, which the cache keeps.
+    Each ensure reads its new members through one members() reader, which
+    takes those past the Hankel switch from the expansion, builds the
+    coefficient table only as far as the others need it, and is dropped,
+    with the table, when the ensure returns."""
 
     def __init__(self, point: CirclePoint, prec: Precision):
         self.point = point
@@ -280,7 +271,7 @@ class _TermCache:
         if len(prefix) > count:
             return
         point, prec = self.point, self.prec
-        bessel = self.family(m).members(len(prefix), count)
+        bessel = self.family(m).members()
         with prec.ctx():
             two_pi = 2 * mp.pi
             for k in range(len(prefix), count + 1):
@@ -477,11 +468,11 @@ def _ladder_scan(cache: _TermCache, threshold: Fraction) -> int:
     positive power of delta, so the bound strictly decreases as j grows;
     bracket the crossing by doubling and bisect for the minimal index.
     I_order(2 delta_j nu) = I_order(4 pi nu mu(0) / (j+1)) is member j + 1
-    of the cache's m = 0 family: past the Hankel switch from the expansion,
-    below it from one coefficient table that is dropped when the scan
-    returns."""
+    of the cache's m = 0 family, read through one members() reader: past
+    the Hankel switch from the expansion, below it from one coefficient
+    table that is dropped when the scan returns."""
     point, prec = cache.point, cache.prec
-    bessel = cache.family(0).members(2)
+    bessel = cache.family(0).members()
     with prec.ctx():
         limit = to_mpf(threshold)
 

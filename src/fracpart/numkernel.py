@@ -6,14 +6,13 @@ phases of real-alpha Kloosterman sums, and the one-pass parser (one regex
 scan, one recursive descent) for alpha expressions such as "51/7",
 "sqrt(3)", "1/e", "0.01".
 
-I_nu sums its ascending series on Python ints: exact term ratios, a scale
-relative to the largest term, and a stop rule that bounds the tail, so the
-series factor has a proved error bound (bessel_i). At large argument it sums
-the Hankel expansion instead, also on Python ints, with a proved remainder,
-wherever that expansion stops within the series' growing terms. A
-BesselFamily reads every I_nu(z/k) of one order: each member past that
-switch from the expansion, each other one from one table of the series'
-terms, one Horner pass each, with the same bound. cos_sum reads each cosine
+A BesselFamily reads every I_nu(z/k), k >= 1, of one order; bessel_i is its
+k = 1 member. A member sums the Hankel expansion on Python ints, with a
+proved remainder, wherever that expansion stops within the ascending
+series' growing terms. Every other member is one Horner pass on Python ints
+over one table of the series' terms (exact term ratios, a scale relative to
+the largest term), ended by one stop rule that bounds the tail, so both
+routes have proved error bounds. cos_sum reads each cosine
 from one baby-step/giant-step table of roots of unity on Python ints and
 phase_sum from two such tables, one of them of powers of an irrational root;
 both sum exactly, also with proved bounds. Everything else is done with
@@ -269,11 +268,11 @@ class BesselFamily:
     order nu > 0 and base argument z >= 0, at one working precision.
 
     A member takes one of two routes, chosen from (nu, z/k, precision) alone,
-    so its bits depend neither on the range read nor on the order of reads:
-    the Hankel expansion where its proved stop comes within p terms, and the
-    ascending series otherwise. p is the number of growing terms of the
-    member's series, which runs at least to its largest term, and a term of
-    either sum costs about one multiply and one floor division on Python
+    so its bits depend neither on the other members read nor on the order of
+    reads: the Hankel expansion where its proved stop comes within p terms,
+    and the ascending series otherwise. p is the number of growing terms of
+    the member's series, which runs at least to its largest term, and a term
+    of either sum costs about one multiply and one floor division on Python
     ints, so the expansion is taken only where it is the shorter sum.
 
     Hankel branch. With x = z/k (DLMF 10.34.2 at m = 1, and 10.40.10 at
@@ -323,56 +322,67 @@ class BesselFamily:
     prime p dividing k. The memo and the coefficient table are freed with
     the function members() returns.
 
-    The table is bessel_i's series for I_nu(z): c_j = r_1 ... r_j,
-    r_j = a / d_j, held as T_j 2^e_j. The k = 1 member is that loop's own sum
-    and stop, so bessel_i's series branch is this member, bit for bit. A
-    member k >= 2 is one Horner pass over the table on Python ints, from its
-    own stop K down: H_K = T_K, H_j = T_j + floor(H_(j+1) / k^2), F = H_0. H
-    is held at a floating scale 2^E: T_j is brought to it (floored where it
-    is coarser than 2^e_j), and after each step H is shifted back to L to
-    L + 7 bits, L = W + bits(k^2) + 1 (exactly to the left, floored to the
-    right).
+    The table. c_j = r_1 ... r_j with r_j = (z/2)^2 / (j (nu+j)), which
+    falls with j. nu and z are read at wp = mp.prec bits of work_dps + 5
+    digits, so both are dyadic and r_j = a / d_j is an exact rational: a step
+    of the table's loop is one multiply and one floor division. On Python
+    ints at W = wp + 64 bits, T_0 = 2^W at the scale 2^e_0 = 2^-W and
+    T_j = floor(T_(j-1) r_j); when T_j passes W + 8 bits it is shifted right
+    back to W + 1 bits and the scale 2^e_j moves up with it, a scale relative
+    to the largest term. A member is one Horner pass over the table on Python
+    ints, from its stop K down: H_K = T_K, H_j = T_j + floor(H_(j+1) / k^2),
+    F = H_0. H is held at a floating scale 2^E: T_j is brought to it
+    (floored where it is coarser than 2^e_j), and after each step H is
+    shifted back to L to L + 7 bits, L = W + bits(k^2) + 1 (exactly to the
+    left, floored to the right).
 
     Let p be the number of j >= 1 with d_j k^2 <= a, so the member's term p
     is its largest. K is the first j >= p with
     (T_j + j) a 10^work_dps 2^(e_j - e_p) < (d_(j+1) k^2 - a) T_p k^(2(j-p)),
     decided on integers.
-    - Past p this test, once true, stays true. From j to j + 1 its right side
-      grows by k^2 (d_(j+2) k^2 - a) / (d_(j+1) k^2 - a) > k^2 (j+2)/(j+1).
-      Its left side grows by at most max(r_(j+1), 2) (r_1 + 2^-W at j = 0),
-      or r_(j+1) (1 + (j+1) 2^-W) where the scale shifts, and r_(j+1) < k^2.
-    - A higher member's test holds wherever a lower one's does. Its right
-      side is larger by k^2 per power, and T_p 2^e_p k^(-2p) only grows from
-      the lower member's p down to its own, since floors never raise a term
-      and r_j < k^2 there.
+    - For k >= 2, past p this test, once true, stays true. From j to j + 1
+      its right side grows by k^2 (d_(j+2) k^2 - a) / (d_(j+1) k^2 - a) >
+      k^2 (j+2)/(j+1). Its left side grows by at most max(r_(j+1), 2)
+      (r_1 + 2^-W at j = 0), or r_(j+1) (1 + (j+1) 2^-W) where the scale
+      shifts, and r_(j+1) < k^2. For k = 1 the growth of the left side can
+      exceed that of the right, so member 1's test is never searched.
+    - A higher member's test holds wherever a lower one's does, member 1's
+      included. Its right side is larger by k^2 per power, and
+      T_p 2^e_p k^(-2p) only grows from the lower member's p down to its
+      own, since floors never raise a term and r_j < k^2 there.
     So a member stops no later than any lower one. The table grows only when
     a series member needs an entry past its end: its loop resumes where it
-    stopped, the same for every reader. A series member k >= 2 searches down
-    from the stop of the nearest lower series member read, by doubling steps
-    and then bisection; with none read, from the table's last entry if its
-    test passes there, and otherwise it extends the table to its own stop.
-    So the table ends at the stop of the lowest series member read, or at the
-    k = 1 stop where member 1 took the series (its loop records the table
-    when the range holds members k >= 2).
+    stopped, the same for every reader. Member 1 goes forward from p, over
+    the table and then through the loop, to the first index where its test
+    passes. A series member k >= 2 searches down from the stop of the nearest
+    lower series member read, by doubling steps and then bisection; with
+    none read, from the table's last entry if its test passes there, and
+    otherwise it extends the table to its own stop. So the table ends at the
+    stop of the lowest series member read.
 
-    Proved error of F for k >= 2. Every table term is low, and T_j falls
-    short of its exact term by less than j units plus 2j 2^-W of it
-    (bessel_i). A unit of 2^e_j at index j is at most 2^-W k^(2j) F: up to
-    the last j with T_j >= 2^W it is 2^-W of a term, and past it the scale
-    stops moving while the terms fall. Each step of the pass floors at most
-    three times, each by less than a unit of 2^E. H // k^2 keeps at least
-    2^W units, and the computed H_j is at most the exact
-    sum_(i>=j) c_i k^(-2(i-j)), so that unit too is at most 2^-W k^(2j) F.
-    So the table costs less than (K(K+1)/2 + 2K) 2^-W of F and the pass
-    less than 3K 2^-W. The tail past K is at most its term K, below
-    (T_K + K) 2^e_K k^-2K (1 + 4K 2^-W), times rho/(1 - rho) for
-    rho = a / (d_(K+1) k^2), since the ratios fall. The stop test puts that
-    below 10^-work_dps (1 + 4K 2^-W) of the member's term p, which is below
-    F. So the computed factor is never high, and it is low by less than
-    10^-work_dps + 2 (K+1)^2 2^-W of F, as in bessel_i. The factor is
-    rounded once to wp bits and multiplied by t0 k^-nu. The error of that
-    first term is not proved, as in bessel_i; the memo's powers and products
-    fall under the same caveat.
+    Proved error of F, for every k >= 1. Every floor and shift of the table
+    loses less than one unit of the current scale. Up to the peak term
+    T_j >= 2^W, so a loss there costs at most 2^-W of the term; past it
+    nothing shifts and the ratios are below 1, so each step adds less than a
+    unit to the shortfall. Hence every table term is low, and T_j falls
+    short of its exact term by less than j units plus 2j 2^-W of it. A unit
+    of 2^e_j at index j is at most 2^-W k^(2j) F: up to the last j with
+    T_j >= 2^W it is 2^-W of a term, and past it the scale stops moving
+    while the terms fall. Each step of the pass floors at most three times,
+    each by less than a unit of 2^E. H // k^2 keeps at least 2^W units, and
+    the computed H_j is at most the exact sum_(i>=j) c_i k^(-2(i-j)), so
+    that unit too is at most 2^-W k^(2j) F. So the table costs less than
+    (K(K+1)/2 + 2K) 2^-W of F and the pass less than 3K 2^-W. The tail past
+    K is at most its term K, below (T_K + K) 2^e_K k^-2K (1 + 4K 2^-W),
+    times rho/(1 - rho) for rho = a / (d_(K+1) k^2), since the ratios fall.
+    The stop test puts that below 10^-work_dps (1 + 4K 2^-W) of the
+    member's term p, which is below F. So the computed factor is never
+    high, and it is low by less than 10^-work_dps + 2 (K+1)^2 2^-W of F,
+    and 2 (K+1)^2 2^-W < 2^-wp while K < 2^31. The factor is rounded once
+    to wp bits and multiplied by t0 k^-nu, mpf computations (power, gamma
+    and quotient at wp bits; the gamma is kept per nu and wp; the memo's
+    powers and products) whose error is not proved. With them exact the
+    relative error would be below 10^-work_dps + 4 2^-wp (K < 2^31).
     """
 
     def __init__(self, nu, z, prec: Precision = DEFAULT_PRECISION):
@@ -481,80 +491,58 @@ class BesselFamily:
                 x = self._z / k
             return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.mpf((total, -w))
 
-    def members(self, low: int = 1, high: int | None = None):
-        """The function k -> I_nu(z/k) for low <= k <= high (no upper limit
-        when high is None), at wp = mp.prec bits of work_dps + 5 digits.
-
-        The series' loop (bessel_i's) runs only when a series member needs
-        it, and records the table only when the range holds members k >= 2.
-        """
-        if low < 1 or (high is not None and high < low):
-            raise DomainError("members requires 1 <= low <= high")
+    def members(self):
+        """The function k -> I_nu(z/k), k >= 1, at wp = mp.prec bits of
+        work_dps + 5 digits. The series' loop runs only when a series member
+        needs an entry past the table's end."""
         prec = self.prec
         if self._a is None:
             return lambda k: mp.mpf(0)
         a, n, f_d, w = self._a, self._n, self._f_d, self._w
-        p10, gate = self._p10, self._gate
-        record = high is None or high >= 2
         ts, exps = [], []  # T_j and e_j of the indices the loop has passed
-        # the loop's state: T_i, S_i = T_0 + ... + T_i at the scale 2^exp,
-        # and the k = 1 factor (S, exp) once its stop test passes
-        i, t, total, exp, one = 0, 1 << w, 1 << w, -w, None
+        t, exp = 1 << w, -w  # the loop's next term T_j at the scale 2^exp
 
-        def advance(k2=None, p=0):
-            """Resume bessel_i's loop: up to member 1's stop (k2 None), or
-            up to the first new table index j >= p at which the test of
-            member k (k2 = k^2) passes, which it returns."""
-            nonlocal i, t, total, exp, one
+        def advance(k2, p):
+            """Resume the loop up to the first new table index j >= p at which
+            the test of member k (k2 = k^2) passes, which it returns."""
+            nonlocal t, exp
             while True:
-                d = (i + 1) * (n + ((i + 1) << f_d))
-                # bessel_i's stop test for T_i; the bit lengths of its two
-                # sides, compared first, rule it out at almost every step
-                if (low == 1 and one is None and a < d
-                        and t.bit_length() + gate <= d.bit_length() + total.bit_length()
-                        and (t + i) * a * p10 < (d - a) * total):
-                    one = (total, exp)
-                if record:
-                    ts.append(t)
-                    exps.append(exp)
-                t = t * a // d
-                total += t
+                j = len(ts)
+                ts.append(t)
+                exps.append(exp)
+                t = t * a // ((j + 1) * (n + ((j + 1) << f_d)))
                 if t.bit_length() > w + 8:
                     drop = t.bit_length() - w - 1
                     t >>= drop
-                    total >>= drop
                     exp += drop
-                i += 1
-                if k2 is None:
-                    if one is not None:
-                        return None
-                elif i > p and self._stops(k2, i - 1, p, ts, exps):
-                    return i - 1
+                if j >= p and self._stops(k2, j, p, ts, exps):
+                    return j
 
-        # series member -> its stop K. A member's test passes wherever a lower
-        # one's does, so K lies between p and the stop of the nearest lower
-        # member read so far: search down from there, by doubling steps, then
-        # bisect. With no lower member read, search down from the table's
-        # last entry if the test passes there, else grow the table to K
+        # series member -> its stop K, the first j >= p where its test passes.
+        # Member 1's test need not stay true once it holds, so its stop is
+        # found going forward. A member k >= 2's test does, and passes wherever
+        # a lower member's does, so K lies between p and the stop of the
+        # nearest lower member read so far: search down from there, by
+        # doubling steps, then bisect. With no lower member read, search down
+        # from the table's last entry if the test passes there, else grow the
+        # table to K
         stops, read = {}, []
         inv_powers = {1: mp.mpf(1)}
 
         def member(k: int) -> mp.mpf:
-            if k < low or (high is not None and k > high):
-                raise DomainError("member k outside [%d, %s]" % (low, high))
             k2 = k * k
             p = self._peak(k2)
             value = self._hankel(k, p)
             if value is not None:
                 return value
-            if k == 1:
-                if one is None:
-                    advance()
-                with prec.ctx(5):
-                    return self._t0() * mp.mpf(one)
             below = p - 1  # the test fails at below (none at p - 1)
             lower = bisect_right(read, k)
-            if lower:
+            if k == 1:
+                stop = next((j for j in range(p, len(ts)) if self._stops(1, j, p, ts, exps)), None)
+                if stop is None:
+                    stop = advance(1, p)
+                below = stop - 1
+            elif lower:
                 stop = stops[read[lower - 1]]
             else:
                 stop = len(ts) - 1
@@ -580,11 +568,10 @@ class BesselFamily:
             # H at the scale 2^e, renormalized to lo..lo + 7 bits after each
             # step, so that H // k^2 keeps at least 2^W units
             lo = w + k2.bit_length() + 1
-            acc, e = ts[stop], exps[stop]
+            acc, e = 0, exps[stop]
             for j in range(stop, -1, -1):
-                if j < stop:
-                    shift = e - exps[j]
-                    acc = (ts[j] >> shift if shift >= 0 else ts[j] << -shift) + acc // k2
+                shift = e - exps[j]
+                acc = (ts[j] >> shift if shift >= 0 else ts[j] << -shift) + acc // k2
                 size = acc.bit_length()
                 if size > lo + 7 or size < lo:
                     acc = acc >> (size - lo) if size > lo else acc << (lo - size)
@@ -597,42 +584,14 @@ class BesselFamily:
 
 def bessel_i(nu, z, prec: Precision = DEFAULT_PRECISION) -> mp.mpf:
     """Modified Bessel I_nu(z), finite nu > 0 and z >= 0: the k = 1 member of
-    BesselFamily(nu, z, prec). Where the Hankel expansion's proved stop comes
-    within the series' growing terms, that expansion gives it (BesselFamily
-    has the rule and the proof): the factor e^-z sqrt(2 pi z) I_nu(z) is
-    then never high and low by less than 10^-work_dps + 2^-wp, the same
-    contract as the series'. Elsewhere it is the defining series, whose loop
-    is described here.
-
-    I_nu(z) = t0 F with first term t0 = (z/2)^nu / Gamma(nu+1) and series
-    factor F = sum_{k>=0} t_k, t_0 = 1, t_k = t_{k-1} r_k, where
-    r_k = (z/2)^2 / (k (nu+k)) falls with k. nu and z are read at the
-    wp = mp.prec bits of work_dps + 5 digits, so both are dyadic and every r_k
-    is an exact rational a/d_k: a step is one multiply and one floor division.
-
-    F runs on Python ints at W = wp + 64 bits: T_0 = S = 2^W,
-    T_k = floor(T_{k-1} r_k), S += T_k, and when T_k passes W + 8 bits, T and S
-    are shifted right together back to W + 1 bits, a scale relative to the
-    largest term. The loop stops at the first K with r_{K+1} < 1 and
-    (T_K + K) r_{K+1} / (1 - r_{K+1}) < 10^-work_dps S, decided on integers.
-
-    Proved error of F. Every floor and shift loses less than one unit of the
-    current scale. Up to the peak term, T_k >= 2^W, so a loss there costs at
-    most 2^-W of the sum; past it nothing shifts, and a unit lost at step j
-    costs at most K - j + 1 units of S >= 2^W. Hence S falls short of the
-    exact partial sum by less than (K+1)^2 2^-W of it, T_K short of its exact
-    term by less than K units plus 2K 2^-W of it, and the tail, at most the
-    exact T_K times r_{K+1}/(1 - r_{K+1}) since r falls, is below
-    10^-work_dps (1 + 4K 2^-W) of the sum. So the computed factor is low by
-    less than 10^-work_dps + 2 (K+1)^2 2^-W of F, never high, and
-    2 (K+1)^2 2^-W < 2^-wp while K < 2^31.
-
-    The factor is rounded once to wp bits and multiplied by t0, an mpf
-    computation (power, gamma and quotient at wp bits; the gamma is kept per
-    nu and wp) whose error is not proved. With t0 exact the relative error
-    would be below 10^-work_dps + 4 2^-wp (K < 2^31).
+    BesselFamily(nu, z, prec), which has both routes, the rule between them
+    and their proofs. On either route the computed factor (e^-z sqrt(2 pi z)
+    I_nu(z) by the Hankel expansion, I_nu(z) / t0 by the series, with first
+    term t0 = (z/2)^nu / Gamma(nu+1)) is never high and is low by less than
+    10^-work_dps + 2^-wp; it is rounded once to wp bits and multiplied by a
+    first factor whose error is not proved.
     """
-    return BesselFamily(nu, z, prec).members(1, 1)(1)
+    return BesselFamily(nu, z, prec).members()(1)
 
 
 def _powers(base, count: int, w: int) -> list:
@@ -738,7 +697,8 @@ def phase_sum(alpha, k: int, pairs, prec: Precision = DEFAULT_PRECISION) -> mp.m
     isqrt(s) + 1 and isqrt(t) + 1). A pair reads U = Y_i X_j ~ 2^2W u^|S|,
     |S| = Bi + j, takes its conjugate when S < 0, reads Z ~ 2^2W zeta^r the
     same way and adds Re(U Z) / 2^4W. The sum is exact on ints and rounded
-    once. A table that is not needed (s = 0 or t = 0) is 1, exactly.
+    once. Entry 0 of either table reads exactly 2^2W, so where s = 0 or
+    t = 0 that table contributes exactly 1.
 
     Proved error, in units of 2^-W (while s k < 2^(W - 24), far past any table
     that fits in memory). Every mpmath operation is taken to be within one
@@ -775,20 +735,14 @@ def phase_sum(alpha, k: int, pairs, prec: Precision = DEFAULT_PRECISION) -> mp.m
             return mp.mpf(0)
         s_top = max(abs(big_s) for big_s, _ in pairs)
         t_top = max(r for _, r in pairs)
-        bound = 4 * (s_top + t_top) + 2
-        if s_top:
-            _, _, exp, bc = _alpha_at(alpha, 64)  # alpha < 2^(exp + bc + 1)
-            bound += (s_top << max(exp + bc + 1, 0)) // (256 * k)
+        _, _, exp, bc = _alpha_at(alpha, 64)  # alpha < 2^(exp + bc + 1)
+        bound = 4 * (s_top + t_top) + 2 + (s_top << max(exp + bc + 1, 0)) // (256 * k)
         w = mp.mp.prec + (len(pairs) * bound).bit_length() + 1
-        unit = [(1 << w, 0)]
         u_step, z_step = isqrt(s_top) + 1, isqrt(t_top) + 1
-        u_baby = u_giant = z_baby = z_giant = unit
-        if s_top:
-            bits = -(-(w + 13 + len(alpha.text.encode()).bit_length()) // 64) * 64
-            x = mpf_div(_alpha_at(alpha, bits), from_int(6 * k), w + 10, round_nearest)
-            u_baby, u_giant = _root_tables(x, u_step, s_top, w)
-        if t_top:
-            z_baby, z_giant = _root_tables(from_rational(2, k, w + 10, round_nearest), z_step, t_top, w)
+        bits = -(-(w + 13 + len(alpha.text.encode()).bit_length()) // 64) * 64
+        x = mpf_div(_alpha_at(alpha, bits), from_int(6 * k), w + 10, round_nearest)
+        u_baby, u_giant = _root_tables(x, u_step, s_top, w)
+        z_baby, z_giant = _root_tables(from_rational(2, k, w + 10, round_nearest), z_step, t_top, w)
         total = 0
         for big_s, r in pairs:
             (yr, yi), (xr, xi) = u_giant[abs(big_s) // u_step], u_baby[abs(big_s) % u_step]

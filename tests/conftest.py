@@ -13,11 +13,13 @@ reference_kloosterman and reference_bessel_i are the straightforward mpf
 versions of the library's two inner kernels (Fraction phases, separate
 cospi/sinpi calls, an mpc sum over all h; an mpf series loop).
 reference_kloosterman_real sums the same phases' cosines over h <= k/2 only,
-doubled when k > 2. reference_series_bessel_i and reference_hankel_bessel_i
-run bessel_i's two documented integer routes over Fractions, the series and
-the Hankel expansion with the rule that switches between them, importing
-nothing from the library. The library's kernels must reproduce the referee
-of the route they take bit for bit, stay
+doubled when k > 2. reference_series_member and reference_hankel_bessel_i
+run BesselFamily's two documented integer routes over Fractions, the series
+member (for any k) and the Hankel expansion with the rule that switches
+between them, importing nothing from the library. reference_series_bessel_i
+sums the same integer terms forward with a stop relative to the running sum,
+a different stop rule to check bessel_i's bound against. The library's
+kernels must reproduce the referee of the route they take bit for bit, stay
 within a derived rounding bound of reference_kloosterman, whose imaginary
 part is the check that the conjugate symmetry behind the half sum holds, and
 bessel_i within its stated error bound (bessel_error_bound) of
@@ -25,6 +27,9 @@ reference_bessel_i and mp.besseli. kloosterman sums its cosines exactly on
 integers (cos_sum for rational alpha, phase_sum for real alpha), so it must
 lie within their proved bound of reference_kloosterman_real run at 40 more
 digits.
+
+reference_dedekind_sum is the defining sum of s(h, k), the referee of
+circle.dedekind_sum's reciprocity descent.
 
 reference_rational_coeffs is the divisor-sum recurrence over Fractions, one
 gcd per step, sharing no code with the library's scaled-integer loop. It
@@ -167,6 +172,16 @@ def artifact_digests(art):
                  for text in (art.formatted(), art.diff_report(), repr(cells)))
 
 
+def reference_dedekind_sum(h, k):
+    """s(h, k) by the defining sum sum_(r<k) (r/k) ((hr/k)), O(k), for
+    coprime 0 <= h < k (unchecked)."""
+    acc = Fraction(0)
+    for r in range(1, k):
+        hr = h * r
+        acc += Fraction(r, k) * (Fraction(hr, k) - hr // k - Fraction(1, 2))
+    return acc
+
+
 def reference_rational_coeffs(alpha, limit):
     """p_alpha(0..limit) for rational alpha > 0 by
     n p(n) = alpha sum_{j<=n} sigma(j) p(n - j), p(0) = 1, in Fraction
@@ -261,7 +276,7 @@ def reference_bessel_i(nu, z, prec):
 
 def reference_series_bessel_i(nu, z, prec):
     """(I_nu(z), steps K, tail bound) for mpf nu > 0 and z > 0 by the integer
-    series bessel_i documents, computed over Fractions.
+    series with a running-sum stop, computed over Fractions.
 
     Each term is the floor of the last one times the exact ratio
     r = (z/2)^2/(k(nu+k)); the term and the sum shift right together when the
@@ -311,6 +326,75 @@ def _series_peak(nu, x):
         else:
             hi = mid
     return lo
+
+
+def reference_series_member(nu, z, prec, k=1):
+    """(I_nu(z/k), stop K) for mpf nu > 0 and z > 0 by the series member
+    BesselFamily documents, for any k >= 1, computed over Fractions.
+
+    The table: T_0 = 2^W at the scale 2^-W, T_j the floor of T_(j-1) times
+    the exact ratio r_j = (z/2)^2/(j(nu+j)), and when T_j passes W + 8 bits
+    it is floored back to W + 1 bits, the scale moving up with it. With p
+    the number of j >= 1 with r_j >= k^2, the stop K is the first j >= p with
+    (T_j + j) 2^(e_j - e_p) rho/(1 - rho) < 10^-dps T_p k^(2(j-p)),
+    rho = r_(j+1)/k^2, found going forward. The Horner pass starts from
+    H = T_K at the scale 2^e_K; each step down adds T_j at the scale of H
+    (floored) to floor(H/k^2) and then floors or extends H to L .. L + 7
+    bits, L = W + bits(k^2) + 1. The value is t0 k^-nu H 2^E for
+    t0 = (z/2)^nu/Gamma(nu+1), k^-nu a product of powers of k's prime
+    factors taken least prime first (p^-nu (k/p)^-nu, rounded each time).
+    """
+    import mpmath as mp
+
+    with prec.ctx(5):
+        nu, z = mp.mpf(nu), mp.mpf(z)
+        first = (z / 2) ** nu / mp.gamma(nu + 1)
+        exact_nu = Fraction(int(nu.man)) * Fraction(2) ** int(nu.exp)
+        exact_z = Fraction(int(z.man)) * Fraction(2) ** int(z.exp)
+        w = mp.mp.prec + 64
+        threshold = Fraction(1, 10 ** prec.work_dps)
+        k2 = k * k
+        p = _series_peak(exact_nu, exact_z / k)
+        table = [(2 ** w, -w)]  # (T_j, e_j)
+
+        def ratio(j):
+            return (exact_z / 2) ** 2 / (j * (exact_nu + j))
+
+        def grow(j):
+            while len(table) <= j:
+                term, scale = table[-1]
+                term = int(term * ratio(len(table)) // 1)
+                if term >= 2 ** (w + 8):
+                    drop = term.bit_length() - w - 1
+                    term, scale = term // 2 ** drop, scale + drop
+                table.append((term, scale))
+            return table[j]
+
+        stop = p
+        while True:
+            (term, scale), (peak, peak_scale) = grow(stop), grow(p)
+            rho = ratio(stop + 1) / k2
+            tail = (term + stop) * Fraction(2) ** (scale - peak_scale) * rho / (1 - rho)
+            if tail < threshold * peak * k2 ** (stop - p):
+                break
+            stop += 1
+        low = w + k2.bit_length() + 1
+        acc, e = table[stop]
+        for j in range(stop, -1, -1):
+            if j < stop:
+                term, scale = table[j]
+                acc = int(Fraction(term) * Fraction(2) ** (scale - e) // 1) + acc // k2
+            size = acc.bit_length()
+            if not low <= size <= low + 7:
+                acc = int(Fraction(acc) * Fraction(2) ** (low - size) // 1)
+                e += size - low
+
+        def inv_power(m):
+            q = next(d for d in range(2, m + 1) if m % d == 0)
+            return mp.mpf(m) ** -nu if q == m else inv_power(q) * inv_power(m // q)
+
+        scale = first if k == 1 else first * inv_power(k)
+        return scale * mp.ldexp(mp.mpf(acc), e), stop
 
 
 def reference_hankel_bessel_i(nu, z, prec, k=1):

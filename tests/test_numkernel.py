@@ -14,6 +14,7 @@ from conftest import (
     reference_bessel_i,
     reference_hankel_bessel_i,
     reference_series_bessel_i,
+    reference_series_member,
 )
 from fracpart import circle
 from fracpart.numkernel import (
@@ -387,19 +388,25 @@ def _assert_within_bound(value, referee, steps, prec):
         assert abs(value - referee) <= bessel_error_bound(prec, steps) * referee
 
 
-def _assert_is_a_referee(value, nu, z, prec):
-    """value is, bit for bit, the referee of the branch bessel_i takes: above
-    the switch the Hankel referee, also within the stated bound of the series
-    referee, and below it the series referee. Returns the Hankel term count
-    (None below the switch) and the series referee's step count."""
-    hankel = reference_hankel_bessel_i(nu, z, prec)
-    series, steps, _ = reference_series_bessel_i(nu, z, prec)
+def _assert_is_a_referee(value, nu, z, prec, k=1):
+    """value, member k of the family of (nu, z), is bit for bit the referee
+    of the branch it takes: above the switch the Hankel referee, below it the
+    series-member referee. Member 1 is also within the stated bound of the
+    forward-sum series referee. Returns the Hankel term count (None below
+    the switch) and a series step count for the bound: the member's stop
+    below the switch, the forward-sum referee's above it (None for k >= 2)."""
+    hankel = reference_hankel_bessel_i(nu, z, prec, k)
+    steps = None
     if hankel is None:
+        series, steps = reference_series_member(nu, z, prec, k)
         assert value._mpf_ == series._mpf_
-        return None, steps
-    assert value._mpf_ == hankel[0]._mpf_
-    _assert_within_bound(value, series, steps, prec)
-    return hankel[1], steps
+    else:
+        assert value._mpf_ == hankel[0]._mpf_
+    if k == 1:
+        forward, forward_steps, _ = reference_series_bessel_i(nu, z, prec)
+        steps = max(steps or 0, forward_steps)
+        _assert_within_bound(value, forward, steps, prec)
+    return (hankel[1] if hankel else None), steps
 
 
 @settings(deadline=None, max_examples=150)
@@ -409,11 +416,12 @@ def _assert_is_a_referee(value, nu, z, prec):
     digits=st.integers(min_value=30, max_value=120),
 )
 def test_bessel_bit_identical_to_reference(nu, log_z, digits):
-    # bessel_i is, bit for bit, the referee of its branch: the integer series
-    # reference_series_bessel_i runs over Fractions below the switch, the
+    # bessel_i is, bit for bit, the referee of its branch: the series member
+    # reference_series_member runs over Fractions below the switch, the
     # Hankel expansion reference_hankel_bessel_i runs over Fractions above
-    # it. That one value is within the stated bound of the mpf series loop
-    # bessel_i ran before and of mp.besseli at twice the precision
+    # it. That one value is within the stated bound of the forward-sum
+    # series reference_series_bessel_i, of the mpf series loop bessel_i ran
+    # before it and of mp.besseli at twice the precision
     prec = Precision(digits)
     with prec.ctx():
         nuv, z = mp.mpf(nu), mp.mpf(10) ** mp.mpf(log_z)
@@ -447,14 +455,27 @@ def test_bessel_accuracy_where_the_scale_shifts_many_times():
     with prec.ctx():
         nu, z = mp.mpf(12001), 4000 * mp.pi
     value = bessel_i(nu, z, prec)
-    referee, steps, _ = reference_series_bessel_i(nu, z, prec)
-    assert value._mpf_ == referee._mpf_
+    terms, steps = _assert_is_a_referee(value, nu, z, prec)
+    assert terms is None
     with mp.workdps(2 * prec.work_dps):
         truth = mp.besseli(nu, z)
         assert mp.log(truth * mp.gamma(nu + 1) / (z / 2) ** nu, 2) > 1000
         _assert_within_bound(value, truth, steps, prec)
         old_shortfall = (truth - reference_bessel_i(nu, z, prec)) / truth
         assert mp.mpf(10) ** -prec.work_dps < old_shortfall < 2 * mp.mpf(10) ** -prec.work_dps
+
+
+def test_bessel_stops_at_its_peak_at_tiny_argument():
+    # At z = 2.2e-20 and 30 digits the first ratio (z/2)^2 / (nu + 1) is
+    # below 10^-work_dps / 2, so the stop is the peak index 0 itself, while
+    # the term T_1 it leaves out is far above a unit in the last place
+    prec = Precision(30)
+    with prec.ctx(5):
+        nu, z = mp.mpf(3) / 2, mp.mpf("2.2e-20")
+    value = bessel_i(nu, z, prec)
+    assert _assert_is_a_referee(value, nu, z, prec) == (None, 0)
+    with mp.workdps(2 * prec.work_dps):
+        _assert_within_bound(value, mp.besseli(nu, z), 0, prec)
 
 
 def test_bessel_stop_rule_bounds_the_tail():
@@ -544,7 +565,7 @@ def test_bessel_switch_screen_never_raises_on_large_orders(nu, z):
     assert family._hankel(1, family._peak(1)) is None
     assert reference_hankel_bessel_i(nu, z, prec) is None
     if nu < 2 ** 100:
-        assert bessel_i(nu, z, prec)._mpf_ == reference_series_bessel_i(nu, z, prec)[0]._mpf_
+        assert _assert_is_a_referee(bessel_i(nu, z, prec), nu, z, prec)[0] is None
 
 
 @pytest.mark.parametrize("nu,z,message", [(0, 1, "nu > 0"), (-1.5, 1, "nu > 0"), (2, -1, "z >= 0")])
@@ -563,18 +584,26 @@ def test_bessel_domain_errors(nu, z, message):
     nu=st.floats(min_value=1.1, max_value=20),
     log_z=st.floats(min_value=-3, max_value=log10(800)),
     digits=st.integers(min_value=30, max_value=120),
-    high=st.sampled_from([1, 2, 40, None]),
+    before=st.sampled_from([(), (2,), (40,), (2, 40)]),
 )
-def test_family_first_member_is_bessel_i(nu, log_z, digits, high):
-    # the k = 1 member is bessel_i, bit for bit, also when the same loop
-    # goes on to build the table of the k >= 2 members, and the referee of
-    # its branch
+def test_family_first_member_is_bessel_i(nu, log_z, digits, before):
+    # the k = 1 member is bessel_i, bit for bit, also when higher members
+    # have built part of the table first, and every member read is the
+    # referee of its branch
     prec = Precision(digits)
     with prec.ctx():
         nuv, z = mp.mpf(nu), mp.mpf(10) ** mp.mpf(log_z)
-    value = BesselFamily(nuv, z, prec).members(1, high)(1)
+    member = BesselFamily(nuv, z, prec).members()
+    for k in before:
+        member(k)
+    value = member(1)
     assert value._mpf_ == bessel_i(nuv, z, prec)._mpf_
     _assert_is_a_referee(value, nuv, z, prec)
+    for k in (2, 40):
+        value = member(k)
+        _assert_is_a_referee(value, nuv, z, prec, k)
+        with mp.workdps(2 * prec.work_dps):
+            _assert_member_within_bound(value, mp.besseli(nuv, z / k), prec)
 
 
 FAMILY_ORDERS = {
@@ -630,7 +659,7 @@ def test_family_members_within_proved_bound(order, digits):
     for base in FAMILY_BASES:
         with prec.ctx(5):
             nu, z = FAMILY_ORDERS[order](), mp.mpf(base)
-        member = BesselFamily(nu, z, prec).members(1)
+        member = BesselFamily(nu, z, prec).members()
         truth = _family_referee(nu, z, prec, ks)
         for k in ks:
             _assert_member_within_bound(member(k), truth[k], prec)
@@ -643,41 +672,37 @@ def test_family_members_do_not_depend_on_how_they_are_read():
     # order of the reads (the ladder scan bisects) nor on the lowest member
     # of the table (a term cache extended by a second ensure), also where
     # the reads cross the switch (base 420 and 2500: the lowest members take
-    # the Hankel branch, each its referee bit for bit; base 40: member 1's
-    # series loop records the table)
+    # the Hankel branch, each its referee bit for bit; base 40: member 1
+    # takes the series, and the members read after it search down from its
+    # stop). Below the switch every member is the series-member referee
     prec = DEFAULT_PRECISION
     for base in ("40", "420", "2500"):
         with prec.ctx(5):
             nu, z = mp.e / 2 + 1, mp.mpf(base)
         family = BesselFamily(nu, z, prec)
         ks = range(2, 120)
-        ascending = family.members(2)
+        ascending = family.members()
         want = {k: ascending(k)._mpf_ for k in ks}
         hankel = {k: reference_hankel_bessel_i(nu, z, prec, k) for k in ks}
         assert all(hankel[k] is None or want[k] == hankel[k][0]._mpf_ for k in ks)
         assert (hankel[2] is not None) == (base != "40") and hankel[119] is None
+        for k in (2, 3, 5, 8, 13, 21, 34, 55, 89, 119):
+            if hankel[k] is None:
+                assert want[k] == reference_series_member(nu, z, prec, k)[0]._mpf_
         shuffled = list(ks)
         random.Random(7).shuffle(shuffled)
-        member = family.members(2)
+        member = family.members()
         assert all(member(k)._mpf_ == want[k] for k in shuffled)
-        member = family.members(37, 80)
+        member = family.members()
         assert all(member(k)._mpf_ == want[k] for k in range(37, 81))
-        member = family.members(1)
+        member = family.members()
         assert member(1)._mpf_ == bessel_i(nu, z, prec)._mpf_
         assert all(member(k)._mpf_ == want[k] for k in shuffled)
-        assert family.members(1, 119)(119)._mpf_ == want[119]
+        assert family.members()(119)._mpf_ == want[119]
 
 
-def test_family_reads_only_its_range():
-    with DEFAULT_PRECISION.ctx():
-        family = BesselFamily(mp.mpf(3) / 2, mp.mpf(40))
-    member = family.members(3, 5)
-    for k in (1, 2, 6):
-        with pytest.raises(DomainError, match="outside"):
-            member(k)
-    with pytest.raises(DomainError):
-        family.members(4, 3)
-    assert BesselFamily(2, 0).members(2)(7) == 0
+def test_family_members_vanish_at_zero_argument():
+    assert BesselFamily(2, 0).members()(7) == 0
 
 
 # ---------------------------------------------------------------------------
